@@ -33,107 +33,6 @@ let maybe_csv name table =
     Phys.Table.write_csv table ~path;
     Format.printf "(csv written to %s)@." path
 
-(* ---- bench history --------------------------------------------------------
-
-   `dune exec bench/main.exe -- record[=DIR] ...` appends every gated
-   experiment's headline ratio to DIR/BENCH_<exp>.json (one JSON object
-   per line) and compares it against the stored baseline -- the FIRST
-   recorded ratio for that (experiment, sub) pair.  The run fails when
-   a compared ratio sits below its gate floor or has degraded more than
-   20% against the baseline.  `mtsize bench-history` renders the files.
-
-   MTSIZE_BENCH_INJECT_SLOWDOWN=<fraction> scales the compared ratio
-   down (0.25 -> 25% slower than measured) to prove the regression gate
-   trips; injected runs never append, so the history stays honest. *)
-
-let record_dir : string option ref = ref None
-let record_failed = ref false
-
-let inject_slowdown =
-  match Sys.getenv_opt "MTSIZE_BENCH_INJECT_SLOWDOWN" with
-  | None -> 0.0
-  | Some s -> ( try float_of_string s with _ -> 0.0)
-
-(* the record format is fixed and self-emitted, so a naive field scan is
-   enough -- no JSON parser in the bench binary *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let field_num line key =
-  match find_sub line (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length key + 3 in
-    let stop = ref start in
-    let n = String.length line in
-    while
-      !stop < n
-      && (match line.[!stop] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-    do
-      incr stop
-    done;
-    (try Some (float_of_string (String.sub line start (!stop - start)))
-     with _ -> None)
-
-let has_sub line sub = find_sub line (Printf.sprintf "\"sub\":\"%s\"" sub) <> None
-
-(* baseline = first recorded ratio for this sub, None on a fresh file *)
-let record_baseline path sub =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let base = ref None in
-    (try
-       while !base = None do
-         let line = input_line ic in
-         if has_sub line sub then base := field_num line "ratio"
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !base
-  end
-
-let record_note ~exp ~sub ~ratio ~floor =
-  match !record_dir with
-  | None -> ()
-  | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" exp) in
-    let compared = ratio *. (1.0 -. inject_slowdown) in
-    let base = record_baseline path sub in
-    if compared < floor then begin
-      Format.eprintf "record %s/%s: ratio %.3f below floor %.3f@." exp sub
-        compared floor;
-      record_failed := true
-    end;
-    (match base with
-     | Some b when compared < 0.8 *. b ->
-       Format.eprintf
-         "record %s/%s: ratio %.3f degraded > 20%% vs baseline %.3f@." exp sub
-         compared b;
-       record_failed := true
-     | _ -> ());
-    if inject_slowdown = 0.0 then begin
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Printf.fprintf oc
-        {|{"experiment":"%s","sub":"%s","ratio":%.6f,"floor":%.3f,"at":%.0f}|}
-        exp sub ratio floor (Unix.time ());
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "(recorded %s/%s ratio %.3f -> %s)@." exp sub ratio path
-    end
-    else
-      Format.printf "(inject %s/%s: compared %.3f, nothing appended)@." exp sub
-        compared
-
 let sleep_of tech wl =
   BP.Sleep_fet
     (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
@@ -1171,8 +1070,7 @@ let par ~fast () =
         "par/%s: speedup %.2fx < 2x at --jobs %d on a %d-core host@." name
         speedup jobs cores;
       exit 1
-    end;
-    record_note ~exp:"par" ~sub:name ~ratio:speedup ~floor:2.0
+    end
   in
   (* W/L sweep of the 8x8 multiplier over both paper vectors *)
   let wls =
@@ -1246,8 +1144,7 @@ let cache_exp ~fast () =
     if speedup < 3.0 then begin
       Format.eprintf "cache/%s: warm speedup %.1fx < 3x@." name speedup;
       exit 1
-    end;
-    record_note ~exp:"cache" ~sub:name ~ratio:speedup ~floor:3.0
+    end
   in
   let chain = Circuits.Chain.inverter_chain t07 ~length:8 in
   check "sweep-chain-spice" ~engine:Eval.Spice_level
@@ -1362,8 +1259,7 @@ let runner_exp ~fast () =
   if speedup < 3.0 then begin
     Format.eprintf "runner: warm batch speedup %.1fx < 3x@." speedup;
     exit 1
-  end;
-  record_note ~exp:"runner" ~sub:"batch" ~ratio:speedup ~floor:3.0
+  end
 
 (* ---- OBS: observability overhead, identical output, trace validity ------------- *)
 
@@ -1427,10 +1323,7 @@ let obs_exp ~fast () =
     if overhead > 5.0 then begin
       Format.eprintf "obs/%s: overhead %.2f%% > 5%%@." name overhead;
       exit 1
-    end;
-    record_note ~exp:"obs" ~sub:name
-      ~ratio:(t_off /. Float.max 1e-9 t_on)
-      ~floor:0.95
+    end
   in
   let chain = Circuits.Chain.inverter_chain t07 ~length:8 in
   let chain_vectors = [ ([ (1, 0) ], [ (1, 1) ]); ([ (1, 1) ], [ (1, 0) ]) ] in
@@ -1477,9 +1370,6 @@ let obs_exp ~fast () =
     Format.eprintf "obs/profiler: overhead %.2f%% > 2%%@." prof_overhead;
     exit 1
   end;
-  record_note ~exp:"obs" ~sub:"profiler"
-    ~ratio:(t_trace /. Float.max 1e-9 t_prof)
-    ~floor:0.98;
   (* the disabled handle threaded through a full run must stay silent:
      no metrics, no spans, an empty profile *)
   let off = Obs.disabled in
@@ -1592,8 +1482,7 @@ let serve_exp ~fast () =
        (gate: 2x)@."
       speedup clients;
     exit 1
-  end;
-  record_note ~exp:"serve" ~sub:"cache-contention" ~ratio:speedup ~floor:2.0
+  end
 
 (* ---- SCALE: event-driven core vs dense passes on 10k+-gate circuits ------------ *)
 
@@ -1684,9 +1573,7 @@ let scale_exp ~fast () =
       Format.eprintf "scale/%s: speedup %.1fx < 5x at %d gates@." name
         speedup gates;
       exit 1
-    end;
-    if gates >= 10_000 then
-      record_note ~exp:"scale" ~sub:name ~ratio:speedup ~floor:5.0
+    end
   in
   let ks = Circuits.Kogge_stone.make t07 ~bits:128 in
   check "kogge-stone-128" ks.Circuits.Kogge_stone.circuit;
@@ -1710,8 +1597,8 @@ let speed_exp ~fast () =
     "deck 1: explicit series-RC ladder, `Reduce eliminates the chain \
      interior exactly; deck 2: sleep-gated ripple adder through \
      Spice_ref, `Reduce_bypass adds the quiescent-device bypass and \
-     LTE stepping.  Gates: `Off bit-identical through the Opts record, \
-     fast modes inside their bands, >= 5x wall-clock on both decks.@.";
+     LTE stepping.  Gates: fast modes inside their bands, >= 5x \
+     wall-clock on both decks.@.";
   let module T = Netlist.Transistor in
   let module E = Spice.Engine in
   (* best-of-2 so one scheduler hiccup does not fail a wall-clock gate *)
@@ -1764,20 +1651,8 @@ let speed_exp ~fast () =
         (Spice.Diag.failure_to_string f);
       exit 1
   in
-  (* `Off twice: once through the legacy wrapper, once through the Opts
-     record — these must agree bit for bit *)
-  let wrapper_res =
-    let eng = E.prepare netlist in
-    E.transient ~dt ~record:(E.Nodes [ probe ]) eng ~t_stop
-  in
   let res_off, t_off = time (fun () -> run_ladder `Off) in
   let res_red, t_red = time (fun () -> run_ladder `Reduce) in
-  let off_identical =
-    let xa = E.final_solution wrapper_res and xb = E.final_solution res_off in
-    Array.length xa = Array.length xb
-    && Array.for_all2 Float.equal xa xb
-    && E.steps_taken wrapper_res = E.steps_taken res_off
-  in
   let ladder_dev =
     let w0 = E.waveform res_off probe and w1 = E.waveform res_red probe in
     Array.fold_left
@@ -1790,9 +1665,8 @@ let speed_exp ~fast () =
   Format.printf
     "{\"experiment\": \"speed/rc-ladder\", \"segments\": %d, \"steps\": \
      %d, \"t_off_s\": %.3f, \"t_reduce_s\": %.3f, \"speedup\": %.1f, \
-     \"max_dev_v\": %.3e, \"off_bit_identical\": %b}@."
-    segments (E.steps_taken res_off) t_off t_red ladder_speedup ladder_dev
-    off_identical;
+     \"max_dev_v\": %.3e}@."
+    segments (E.steps_taken res_off) t_off t_red ladder_speedup ladder_dev;
   (* --- deck 2: sleep-gated ripple adder, `Off vs `Reduce_bypass -------- *)
   let bits = if fast then 4 else 8 in
   let add = Circuits.Ripple_adder.make t07 ~bits in
@@ -1855,11 +1729,6 @@ let speed_exp ~fast () =
     (SR.newton_iterations run1)
     adder_dev worst_net worst_t delay_drift;
   (* --- gates ----------------------------------------------------------- *)
-  if not off_identical then begin
-    Format.eprintf
-      "speed: `Off through Opts differs from the legacy wrapper@.";
-    exit 1
-  end;
   if ladder_dev > 1e-6 then begin
     Format.eprintf "speed: ladder reduction deviates %.3e V (> 1e-6)@."
       ladder_dev;
@@ -1881,11 +1750,7 @@ let speed_exp ~fast () =
   if adder_speedup < 5.0 then begin
     Format.eprintf "speed: sleep-adder speedup %.1fx < 5x@." adder_speedup;
     exit 1
-  end;
-  record_note ~exp:"speed" ~sub:"rc-ladder" ~ratio:ladder_speedup ~floor:5.0;
-  record_note ~exp:"speed"
-    ~sub:(Printf.sprintf "sleep-adder%d" bits)
-    ~ratio:adder_speedup ~floor:5.0
+  end
 
 (* ---- selective Vt + clustering gate --------------------------------------------- *)
 
@@ -1975,9 +1840,7 @@ let select_exp ~fast () =
   if ratio_k32 < 2.0 then begin
     Format.eprintf "select: kogge32 leakage ratio %.3f < 2x@." ratio_k32;
     exit 1
-  end;
-  record_note ~exp:"select" ~sub:"adder8" ~ratio:ratio_a8 ~floor:2.0;
-  record_note ~exp:"select" ~sub:"kogge32" ~ratio:ratio_k32 ~floor:2.0
+  end
 
 (* ---- Bechamel microbenchmarks -------------------------------------------------- *)
 
@@ -2081,17 +1944,13 @@ let () =
   List.iter
     (fun a ->
       if String.length a > 4 && String.sub a 0 4 = "csv=" then
-        csv_dir := Some (String.sub a 4 (String.length a - 4));
-      if a = "record" then record_dir := Some ".";
-      if String.length a > 7 && String.sub a 0 7 = "record=" then
-        record_dir := Some (String.sub a 7 (String.length a - 7)))
+        csv_dir := Some (String.sub a 4 (String.length a - 4)))
     args;
   let args =
     List.filter
       (fun a ->
-        a <> "fast" && a <> "record"
-        && not (String.length a > 4 && String.sub a 0 4 = "csv=")
-        && not (String.length a > 7 && String.sub a 0 7 = "record="))
+        a <> "fast"
+        && not (String.length a > 4 && String.sub a 0 4 = "csv="))
       args
   in
   (match args with
@@ -2127,8 +1986,4 @@ let () =
              scale speed select bechamel)@."
             other;
           exit 2)
-      names);
-  if !record_failed then begin
-    Format.eprintf "bench: recorded regression gate failed@.";
-    exit 1
-  end
+      names)

@@ -65,10 +65,12 @@ let or_die = function
    then accounts for. *)
 let newton_budget_term =
   let doc =
-    "Cap the transistor-level engine's Newton iteration budget per \
-     solve.  Small values force recovery strategies or per-vector \
-     skips instead of aborting; the run ends with a resilience report. \
-     0 (default) keeps the engine's own budgets."
+    "Cap the transistor-level engine's Newton iteration budget for the \
+     DC operating-point solve and every recovery-ladder solve (a \
+     transient step's nominal and step-halving solves keep their fixed \
+     40-iteration budget).  Small values force recovery strategies or \
+     per-vector skips instead of aborting; the run ends with a \
+     resilience report.  0 (default) keeps the engine's own budgets."
   in
   Arg.(value & opt int 0 & info [ "newton-budget" ] ~docv:"N" ~doc)
 
@@ -80,8 +82,8 @@ let policy_of_budget n =
   else None
 
 let print_resilience stats =
-  if stats.Mtcmos.Resilience.attempted > 0 then
-    Format.printf "%a@." Mtcmos.Resilience.pp_report stats
+  if stats.Eval.Resilience.attempted > 0 then
+    Format.printf "%a@." Eval.Resilience.pp_report stats
 
 (* Worker-domain count for the parallel subcommands.  0 (the default)
    means "one worker per available core"; results are identical whatever
@@ -311,7 +313,7 @@ let ctx_of ?policy ?stats ?(obs = Obs.disabled) ?(fast = `Off) ~engine ~jobs
     | Some s ->
       (* the root accumulator (and only the root — worker shards merge
          into it) mirrors its counts into the registry *)
-      if Obs.metrics_on obs then Mtcmos.Resilience.attach_obs s obs;
+      if Obs.metrics_on obs then Eval.Resilience.attach_obs s obs;
       Eval.Ctx.with_stats s ctx
     | None -> ctx
   in
@@ -322,7 +324,7 @@ let ctx_of ?policy ?stats ?(obs = Obs.disabled) ?(fast = `Off) ~engine ~jobs
 let sweep_cmd =
   let run tech_name circuit_name vectors wls engine fast budget jobs co oo =
     let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let ctx =
       ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
         ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
@@ -353,7 +355,7 @@ let size_cmd =
   let run tech_name circuit_name vectors target engine fast budget jobs
       repair co oo =
     let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let ctx =
       ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
         ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
@@ -512,7 +514,7 @@ let compare_cmd =
        path's internal bp estimates can hit the bp run's entries *)
     let bp_ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs co in
     let bp = Mtcmos.Sizing.delay_at ~ctx:bp_ctx bc.circuit ~vectors:vecs ~wl in
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let sp_ctx =
       ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
         ~fast:(resolve_fast fast) ~engine:Eval.Engine.Spice_level ~jobs co
@@ -800,7 +802,7 @@ let search_cmd =
            ~vdd:tech.Device.Tech.vdd)
     in
     let objective = or_die (Runner.Catalog.objective_of_name objective) in
-    let stats = Mtcmos.Resilience.create () in
+    let stats = Eval.Resilience.create () in
     let ctx =
       ctx_of ~stats ~obs:oo.obs ~fast:(resolve_fast fast)
         ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
@@ -1306,121 +1308,6 @@ let trace_check_cmd =
           with the embedded registry counters.  Exit 1 on any failure.")
     Term.(const run $ file_term)
 
-let bench_history_cmd =
-  (* Read the BENCH_<experiment>.json files `bench ... record[=DIR]`
-     appends to, and show the performance trajectory per gated
-     measurement: every recorded ratio against the first (baseline)
-     entry, flagging >20% degradations the way the bench regression
-     gate does. *)
-  let find_sub line pat =
-    let n = String.length line and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub line i m = pat then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let field_str line key =
-    let pat = Printf.sprintf "\"%s\":\"" key in
-    match find_sub line pat with
-    | None -> None
-    | Some i ->
-      let start = i + String.length pat in
-      (match String.index_from_opt line start '"' with
-       | Some stop -> Some (String.sub line start (stop - start))
-       | None -> None)
-  in
-  let field_num line key =
-    let pat = Printf.sprintf "\"%s\":" key in
-    match find_sub line pat with
-    | None -> None
-    | Some i ->
-      let start = i + String.length pat in
-      let stop = ref start in
-      let n = String.length line in
-      while
-        !stop < n
-        && (match line.[!stop] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-  in
-  let run dir =
-    let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-    Array.sort compare entries;
-    let shown = ref 0 in
-    Array.iter
-      (fun name ->
-        if
-          String.starts_with ~prefix:"BENCH_" name
-          && Filename.check_suffix name ".json"
-        then begin
-          incr shown;
-          let exp =
-            Filename.chop_suffix
-              (String.sub name 6 (String.length name - 6))
-              ".json"
-          in
-          Format.printf "== %s (%s) ==@." exp name;
-          let lines =
-            try
-              String.split_on_char '\n'
-                (In_channel.with_open_bin (Filename.concat dir name)
-                   In_channel.input_all)
-              |> List.filter (fun l -> String.trim l <> "")
-            with Sys_error m ->
-              Format.printf "  unreadable: %s@." m;
-              []
-          in
-          (* baseline = first recorded ratio per measurement *)
-          let baselines = Hashtbl.create 8 in
-          List.iter
-            (fun line ->
-              let sub = Option.value ~default:"-" (field_str line "sub") in
-              match field_num line "ratio" with
-              | None -> Format.printf "  (unparseable entry)@."
-              | Some ratio ->
-                if not (Hashtbl.mem baselines sub) then
-                  Hashtbl.replace baselines sub ratio;
-                let base = Hashtbl.find baselines sub in
-                let delta =
-                  if base > 0.0 then 100.0 *. ((ratio /. base) -. 1.0)
-                  else 0.0
-                in
-                let at =
-                  match field_num line "at" with
-                  | Some v -> Printf.sprintf "%.0f" v
-                  | None -> "-"
-                in
-                let flag = if ratio < 0.8 *. base then "  << REGRESSION" else "" in
-                Format.printf
-                  "  %-24s at %-12s ratio %8.3f  (baseline %.3f, %+.1f%%)%s@."
-                  sub at ratio base delta flag)
-            lines
-        end)
-      entries;
-    if !shown = 0 then
-      Format.printf
-        "no BENCH_*.json files in %s (record some with: bench <exp> \
-         record)@."
-        dir
-  in
-  let dir_term =
-    let doc = "Directory holding the recorded BENCH_*.json files." in
-    Arg.(value & pos 0 string "." & info [] ~docv:"DIR" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "bench-history"
-       ~doc:
-         "Show the recorded bench measurement history (written by \
-          $(b,bench <experiment> record)): every entry's gated ratio \
-          against its stored baseline, flagging >20% degradations.")
-    Term.(const run $ dir_term)
-
 let () =
   let info =
     Cmd.info "mtsize" ~version:"1.0.0"
@@ -1432,5 +1319,4 @@ let () =
           [ sweep_cmd; size_cmd; worst_cmd; simulate_cmd; compare_cmd;
             estimate_cmd; sta_cmd; select_cmd; energy_cmd; wakeup_cmd;
             deck_cmd; lint_cmd; search_cmd; workload_cmd; dot_cmd;
-            trace_check_cmd; scale_cmd; run_cmd; serve_cmd; submit_cmd;
-            bench_history_cmd ]))
+            trace_check_cmd; scale_cmd; run_cmd; serve_cmd; submit_cmd ]))

@@ -62,14 +62,16 @@ let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
     let inst =
       Netlist.Expand.expand circuit ~stimuli:[ (drive_in, wave) ]
     in
-    let engine = Spice.Engine.prepare inst.Netlist.Expand.netlist in
-    match
-      Spice.Engine.transient_r engine ~t_stop:4e-9 ~dt:2e-12 ~policy ?obs
-        ~record:
-          (Spice.Engine.Nodes [ inst.Netlist.Expand.node_of_net.(out) ])
-    with
+    let opts =
+      Spice.Engine.Opts.(
+        default |> with_dt 2e-12 |> with_policy policy
+        |> with_record
+             (Spice.Engine.Nodes [ inst.Netlist.Expand.node_of_net.(out) ]))
+    in
+    let engine = Spice.Engine.prepare ~opts inst.Netlist.Expand.netlist in
+    match Spice.Engine.transient_r engine ~t_stop:4e-9 ?obs with
     | Ok res ->
-      Resilience.record_success ?stats (Spice.Engine.telemetry res);
+      Eval.Resilience.record_success ?stats (Spice.Engine.telemetry res);
       let w =
         Spice.Engine.waveform res inst.Netlist.Expand.node_of_net.(out)
       in
@@ -77,7 +79,7 @@ let measure_uncached ~policy ?obs ?stats tech kind ~cl ~ramp =
     | Error f ->
       (* a failed fixture degrades to NaN entries in the point rather
          than killing the whole characterisation run *)
-      Resilience.record_skip ?stats
+      Eval.Resilience.record_skip ?stats
         ~label:
           (Printf.sprintf "%s cl=%g ramp=%g %s" (Netlist.Gate.name kind)
              cl ramp

@@ -50,10 +50,11 @@ let sp_scored ?cache ?obs ?stats ~config ~label c (before, after) =
   let compute stats =
     match Spice_ref.run_ints_r ~config ?obs c ~before ~after with
     | Error f ->
-      Resilience.record_skip ?stats ~kind:Resilience.Scored_zero ~label f;
+      Eval.Resilience.record_skip ?stats ~kind:Eval.Resilience.Scored_zero
+        ~label f;
       (false, None, 0.0, 0.0)
     | Ok r ->
-      Resilience.record_success ?stats (Spice_ref.telemetry r);
+      Eval.Resilience.record_success ?stats (Spice_ref.telemetry r);
       ( true,
         Option.map snd (Spice_ref.critical_delay r),
         Spice_ref.vx_peak r,
@@ -107,10 +108,10 @@ let score_spice ?cache ?(obs = Obs.disabled) ?stats ~policy ~fast ~jobs c
     let sleeps = [| sleep; BP.Cmos |] in
     let runs =
       Par.Pool.map_stateful ~obs ~jobs:(min jobs 2) ~chunk:1
-        ~create:(fun () -> (Resilience.create (), Obs.shard obs))
+        ~create:(fun () -> (Eval.Resilience.create (), Obs.shard obs))
         ~merge:(fun (w, o) ->
           (match stats with
-           | Some s -> Resilience.merge_into ~into:s w
+           | Some s -> Eval.Resilience.merge_into ~into:s w
            | None -> ());
           Obs.merge_shard ~into:obs o)
         2

@@ -37,7 +37,7 @@ let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
   let compute stats =
     match Spice_ref.run_ints_r ~config ?obs c ~before ~after with
     | Ok r ->
-      Resilience.record_success ?stats (Spice_ref.telemetry r);
+      Eval.Resilience.record_success ?stats (Spice_ref.telemetry r);
       let d =
         match Spice_ref.critical_delay r with
         | Some (_, d) -> d
@@ -45,7 +45,7 @@ let spice_vector ?cache ?obs ~config ~bp_config ?stats c (before, after) =
       in
       (d, Spice_ref.vx_peak r)
     | Error f ->
-      Resilience.record_skip ?stats ~kind:Resilience.Estimated
+      Eval.Resilience.record_skip ?stats ~kind:Eval.Resilience.Estimated
         ~label:(vector_label (before, after))
         f;
       let r = BP.simulate_ints ~config:bp_config ?obs c ~before ~after in
@@ -84,10 +84,10 @@ let worst_delay_spice ?cache ?(obs = Obs.disabled) ~config ~bp_config ?stats
   let vecs = Array.of_list vectors in
   let per_vector =
     Par.Pool.map_stateful ~obs ~jobs ~chunk:1
-      ~create:(fun () -> (Resilience.create (), Obs.shard obs))
+      ~create:(fun () -> (Eval.Resilience.create (), Obs.shard obs))
       ~merge:(fun (w, o) ->
         (match stats with
-         | Some s -> Resilience.merge_into ~into:s w
+         | Some s -> Eval.Resilience.merge_into ~into:s w
          | None -> ());
         Obs.merge_shard ~into:obs o)
       (Array.length vecs)

@@ -110,7 +110,15 @@ let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
     | Some n -> map n
     | None -> invalid_arg "Wakeup.simulate: no virtual ground"
   in
-  let eng = Spice.Engine.prepare netlist in
+  let eng =
+    Spice.Engine.prepare
+      ~opts:
+        Spice.Engine.Opts.(
+          default |> with_dt (t_stop /. 4000.0)
+          |> with_record (Spice.Engine.Nodes [ vg_node ])
+          |> with_uic true)
+      netlist
+  in
   (* initial condition: asleep, rail floated *)
   let v_float = float_voltage circuit ~wl in
   let zeros =
@@ -132,10 +140,7 @@ let simulate ?v_threshold ?(t_stop = 20e-9) circuit ~wl =
          (List.init (C.num_nets circuit) (fun n -> n))
   in
   let x0 = Spice.Engine.initial_guess eng hints in
-  let res =
-    Spice.Engine.transient eng ~t_stop ~dt:(t_stop /. 4000.0)
-      ~record:(Spice.Engine.Nodes [ vg_node ]) ~x0 ~uic:true
-  in
+  let res = Spice.Engine.transient eng ~t_stop ~x0 in
   let w = Spice.Engine.waveform res vg_node in
   match
     Phys.Pwl.first_crossing ~after:t_edge w ~level:v_threshold

@@ -1,8 +1,7 @@
 (** Which delay engine an evaluation runs on.
 
-    Historically this type lived in [Mtcmos.Sizing], but [Search], the
-    CLI and the bench harness all need it too; it now lives here and
-    [Sizing.engine] is a deprecated alias. *)
+    [Sizing], [Search], the CLI and the bench harness all need it, so
+    it lives here, below [lib/core]. *)
 
 type t =
   | Breakpoint   (** fast switch-level breakpoint simulator *)

@@ -17,10 +17,7 @@
 
     The evaluation cache ({!Cache}) snapshots the deltas a computation
     recorded and replays them with {!merge_into} on every hit, so the
-    totals are also identical with the cache on or off.
-
-    This module used to live in [Mtcmos.Resilience]; that name is kept
-    as an alias so existing callers keep compiling. *)
+    totals are also identical with the cache on or off. *)
 
 type skip_kind =
   | Dropped

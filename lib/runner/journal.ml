@@ -14,9 +14,9 @@
    returns; a process killed mid-write therefore leaves at most one
    damaged last record — a truncated length header, a truncated
    payload, or a missing newline — and load drops it (the job simply
-   re-runs).  Unframed legacy records (<job-id> <json>) still load:
-   the payload of a framed record is digits-space-prefixed JSON, which
-   no fragment starts with, so the two framings cannot be confused. *)
+   re-runs).  Records must be framed: an unframed <job-id> <json> line
+   (the record format before the length header) is treated as torn, so
+   its job and every later one re-run. *)
 
 let magic = "mtsize-runner-journal 1"
 
@@ -53,7 +53,8 @@ let is_digits s = s <> "" && String.for_all (function '0' .. '9' -> true | _ -> 
      file from here on.  Every way a flushed-then-killed writer can
      leave bytes behind lands here: no newline yet, a length header cut
      mid-number (or missing entirely), or a payload shorter than its
-     declared length.  Never raises. *)
+     declared length.  An unframed record lands here too.  Never
+     raises. *)
 let read_record src pos =
   match String.index_from_opt src pos '\n' with
   | None ->
@@ -72,22 +73,14 @@ let read_record src pos =
         let rest = String.sub line (sp + 1) (String.length line - sp - 1) in
         (match String.index_opt rest ' ' with
          | Some sp2 when is_digits (String.sub rest 0 sp2) ->
-           (* length-framed record: the payload must span exactly the
-              declared byte count *)
+           (* the payload must span exactly the declared byte count *)
            let declared = int_of_string (String.sub rest 0 sp2) in
            let json =
              String.sub rest (sp2 + 1) (String.length rest - sp2 - 1)
            in
            if String.length json = declared then `Entry ((id, json), next)
            else `Torn
-         | _ ->
-           (* legacy unframed record (or a framed one whose length
-              header lost its trailing space — indistinguishable, and
-              only acceptable when the rest parses as a fragment).
-              Fragments are JSON objects; anything else is damage. *)
-           if String.length rest > 0 && rest.[0] = '{' then
-             `Entry ((id, rest), next)
-           else `Torn)
+         | _ -> `Torn)
     end
 
 let load ~path ~fingerprint =

@@ -10,8 +10,9 @@
     truncated payload, or a missing terminating newline — and {!load}
     tolerates all three by dropping the torn tail; that job simply
     re-runs.  Truncating a valid journal at {e any} byte offset never
-    makes {!load} raise.  Unframed legacy lines
-    ([<id> <fragment-json>]) still load. *)
+    makes {!load} raise.  An unframed [<id> <fragment-json>] line (the
+    record format before the length header) counts as torn: resuming
+    such a journal re-runs that job and every later one. *)
 
 val magic : string
 

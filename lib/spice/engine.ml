@@ -11,13 +11,8 @@ module Opts = struct
     integration : integration;
     dt : float option;
     record : record;
-    max_newton : int;
     uic : bool;
-    adaptive : bool;
     fast : fast;
-    bypass_vtol : float;
-    lte_rel : float;
-    lte_abs : float;
     policy : Recover.policy;
   }
 
@@ -25,24 +20,15 @@ module Opts = struct
     { integration = Backward_euler;
       dt = None;
       record = All;
-      max_newton = 40;
       uic = false;
-      adaptive = false;
       fast = `Off;
-      bypass_vtol = 2e-4;
-      lte_rel = 0.02;
-      lte_abs = 5e-4;
       policy = Recover.default }
 
   let with_integration integration t = { t with integration }
   let with_dt dt t = { t with dt = Some dt }
   let with_record record t = { t with record }
-  let with_max_newton max_newton t = { t with max_newton }
   let with_uic uic t = { t with uic }
-  let with_adaptive adaptive t = { t with adaptive }
   let with_fast fast t = { t with fast }
-  let with_bypass_vtol bypass_vtol t = { t with bypass_vtol }
-  let with_lte ~rel ~abs t = { t with lte_rel = rel; lte_abs = abs }
   let with_policy policy t = { t with policy }
 
   let fast_to_string = function
@@ -65,6 +51,18 @@ module Opts = struct
   let pp_fast fmt f = Format.pp_print_string fmt (fast_to_string f)
 end
 
+(* Engine constants.  [max_newton] is the iteration budget of a
+   transient step's nominal and step-halving solves (the recovery
+   policy budgets the DC and ladder solves).  Under [`Reduce_bypass] a
+   device whose four terminals all moved less than [bypass_vtol] volts
+   reuses its cached linearisation, and the LTE controller accepts a
+   step whose per-node error is within [lte_rel] of the node voltage
+   plus [lte_abs] volts. *)
+let max_newton = 40
+let bypass_vtol = 2e-4
+let lte_rel = 0.02
+let lte_abs = 5e-4
+
 (* Per-chain scratch: the Thomas-elimination coefficients of the last
    assembly (v_i = alpha_i + gamma_i v_a + beta_i v_{i+1}), the interior
    companion state, and the voltages recovered at the last accepted
@@ -85,14 +83,14 @@ type bypass = {
   bs : float array;        (* 4 per device: gm gds gmb ieq *)
   bvalid : Bytes.t;
   mutable benabled : bool;
-  vtol : float;
   (* lifetime telemetry, kept as plain ints because [assemble] is the
      innermost hot loop and carries no obs handle; the transient flush
      snapshots these at entry and publishes the per-analysis deltas *)
   mutable n_hits : int;    (* cached linearisation reused *)
   mutable n_miss : int;    (* fresh model evaluation while enabled *)
   mutable n_inval : int;   (* a previously-valid entry refreshed
-                              because its terminals moved past vtol *)
+                              because its terminals moved past
+                              bypass_vtol *)
 }
 
 type t = {
@@ -134,7 +132,6 @@ let prepare ?(opts = Opts.default) netlist =
           bs = Array.make (4 * n_mos) 0.0;
           bvalid = Bytes.make (Stdlib.max 1 n_mos) '\000';
           benabled = false;
-          vtol = opts.Opts.bypass_vtol;
           n_hits = 0;
           n_miss = 0;
           n_inval = 0 }
@@ -337,10 +334,10 @@ let assemble t ~x ~gmin ~time ~src_scale
             let b = 4 * k in
             if
               Bytes.unsafe_get bp.bvalid k = '\001'
-              && Float.abs (vd -. bp.bv.(b)) < bp.vtol
-              && Float.abs (vg -. bp.bv.(b + 1)) < bp.vtol
-              && Float.abs (vs -. bp.bv.(b + 2)) < bp.vtol
-              && Float.abs (vb -. bp.bv.(b + 3)) < bp.vtol
+              && Float.abs (vd -. bp.bv.(b)) < bypass_vtol
+              && Float.abs (vg -. bp.bv.(b + 1)) < bypass_vtol
+              && Float.abs (vs -. bp.bv.(b + 2)) < bypass_vtol
+              && Float.abs (vb -. bp.bv.(b + 3)) < bypass_vtol
             then begin
               bp.n_hits <- bp.n_hits + 1;
               (bp.bs.(b), bp.bs.(b + 1), bp.bs.(b + 2), bp.bs.(b + 3))
@@ -499,12 +496,8 @@ let worst_residual t ~x ~gmin ~time ~cap =
     (!name, !worst)
   end
 
-let dc_r ?(time = 0.0) ?x0 ?policy ?opts ?telemetry ?(obs = Obs.disabled) t =
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> (Option.value opts ~default:t.opts).Opts.policy
-  in
+let dc_r ?(time = 0.0) ?x0 ?telemetry ?(obs = Obs.disabled) t =
+  let policy = t.opts.Opts.policy in
   let tm =
     match telemetry with Some v -> v | None -> Diag.create_telemetry ()
   in
@@ -707,21 +700,19 @@ let source_breakpoints sys ~t_stop =
   in
   Array.of_list (List.sort_uniq compare ts)
 
-let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
-    ~t_stop =
+let transient_r ?x0 ?telemetry ?(obs = Obs.disabled) t ~t_stop =
   if t_stop <= 0.0 then invalid_arg "Engine.transient: t_stop <= 0";
+  let o = t.opts in
   let dt = match o.Opts.dt with Some d -> d | None -> default_dt t ~t_stop in
   if dt <= 0.0 then invalid_arg "Engine.transient: dt <= 0";
   if dt > t_stop then invalid_arg "Engine.transient: dt > t_stop";
   let integration = o.Opts.integration
   and record = o.Opts.record
-  and max_newton = o.Opts.max_newton
   and uic = o.Opts.uic
-  and adaptive = o.Opts.adaptive
   and policy = o.Opts.policy in
-  (* the LTE-controlled stepper replaces the iteration-count heuristic
-     in the full fast mode *)
-  let lte = t.opts.Opts.fast = `Reduce_bypass in
+  (* one step rule per fast mode: a fixed step, or under [`Reduce_bypass]
+     the local-truncation-error controller *)
+  let lte = o.Opts.fast = `Reduce_bypass in
   let tm =
     match telemetry with Some v -> v | None -> Diag.create_telemetry ()
   in
@@ -808,7 +799,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
          | true, (Some _ | None) -> Array.make sys.Mna.n_unknowns 0.0
          | false, _ ->
            (match
-              dc_r ~time:0.0 ?x0 ~policy ~telemetry:tm ~obs:obs_nested t
+              dc_r ~time:0.0 ?x0 ~telemetry:tm ~obs:obs_nested t
             with
             | Ok x -> x
             | Error f ->
@@ -858,14 +849,11 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         n_newton = 0; tele = tm }
     in
     let time = ref 0.0 in
-    (* dt control: with [adaptive], grow the step while Newton converges
-       easily and shrink it when iterations pile up (SPICE's iteration-count
-       heuristic); bounded to [dt/16, 8*dt] around the nominal step.  In
-       LTE mode the bounds widen to [dt/16, 64*dt] and the controller is
-       the local-truncation-error test below. *)
+    (* LTE step bounds around the nominal step; the fixed-step modes
+       only use [dt_min] as the end-of-window tolerance *)
     let dt_now = ref dt in
     let dt_min = dt /. 16.0 in
-    let dt_max = if lte then 64.0 *. dt else 8.0 *. dt in
+    let dt_max = 64.0 *. dt in
     let breakpoints =
       if lte then source_breakpoints sys ~t_stop else [||]
     in
@@ -881,14 +869,12 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     let solve ~integ ~h ~x0 ~gmin ~max_iter =
       let t_next = Float.min (!time +. h) t_stop in
       let h_eff = t_next -. !time in
-      let i0 = tm.Diag.newton_iterations in
       match
         newton_solve t ~x0 ~gmin ~time:t_next
           ~cap:(Some (integ, h_eff, st))
           ~max_iter ~tm
       with
-      | N_converged x' ->
-        Some (x', t_next, h_eff, integ, tm.Diag.newton_iterations - i0)
+      | N_converged x' -> Some (x', t_next, h_eff, integ)
       | o ->
         tm.Diag.step_rejections <- tm.Diag.step_rejections + 1;
         last := o;
@@ -937,7 +923,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
                   solve ~integ:integration ~h:h_step ~x0 ~gmin
                     ~max_iter:policy.Recover.ladder_max_iter
                 with
-                | Some (x', _, _, _, _) -> ramp (gmin /. 10.0) x'
+                | Some (x', _, _, _) -> ramp (gmin /. 10.0) x'
                 | None -> None
               end
             in
@@ -947,7 +933,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
             (match
                dc_r
                  ~time:(Float.min (!time +. h_step) t_stop)
-                 ~x0:!x ~policy ~telemetry:tm ~obs:obs_nested t
+                 ~x0:!x ~telemetry:tm ~obs:obs_nested t
              with
              | Ok xdc ->
                solve ~integ:integration ~h:h_step ~x0:xdc ~gmin:1e-12
@@ -992,27 +978,24 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     in
     (* never stride across a source-waveform corner in LTE mode *)
     let clamp_to_breakpoint h =
-      if not lte then h
-      else begin
-        while
-          !bp_idx < Array.length breakpoints
-          && breakpoints.(!bp_idx) <= !time +. (dt_min *. 1e-3)
-        do
-          incr bp_idx
-        done;
-        if !bp_idx < Array.length breakpoints then begin
-          let tb = breakpoints.(!bp_idx) in
-          if !time +. h > tb then begin
-            incr bp_clamps;
-            Float.max dt_min (tb -. !time)
-          end
-          else h
+      while
+        !bp_idx < Array.length breakpoints
+        && breakpoints.(!bp_idx) <= !time +. (dt_min *. 1e-3)
+      do
+        incr bp_idx
+      done;
+      if !bp_idx < Array.length breakpoints then begin
+        let tb = breakpoints.(!bp_idx) in
+        if !time +. h > tb then begin
+          incr bp_clamps;
+          Float.max dt_min (tb -. !time)
         end
         else h
       end
+      else h
     in
     (* accept a solved step: companion-state update, history, sampling *)
-    let accept (x', t_next, h_eff, integ_used, _iters) =
+    let accept (x', t_next, h_eff, integ_used) =
       (* update companion state with the integrator the step actually
          used (a stiff-integration rescue runs Backward-Euler even in a
          trapezoidal analysis) *)
@@ -1073,8 +1056,8 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         for i = 0 to nn - 1 do
           let pred = xc.(i) +. (ratio *. (xc.(i) -. xp.(i))) in
           let tol =
-            (o.Opts.lte_rel *. Float.max (Float.abs x'.(i)) (Float.abs xc.(i)))
-            +. o.Opts.lte_abs
+            (lte_rel *. Float.max (Float.abs x'.(i)) (Float.abs xc.(i)))
+            +. lte_abs
           in
           err := Float.max !err (Float.abs (x'.(i) -. pred) /. tol)
         done;
@@ -1088,7 +1071,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
            the band, then rescale the next step from the error *)
         let rec attempt h tries =
           let h = clamp_to_breakpoint h in
-          let ((x', _, h_eff, _, _) as s) = step h in
+          let ((x', _, h_eff, _) as s) = step h in
           let err = lte_err x' h_eff in
           if err > 1.0 && h_eff > dt_min *. 1.000001 && tries < 8 then begin
             tm.Diag.step_rejections <- tm.Diag.step_rejections + 1;
@@ -1116,14 +1099,7 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
         in
         attempt !dt_now 0
       end
-      else begin
-        let ((_, _, _, _, iters) as s) = step !dt_now in
-        if adaptive then begin
-          if iters <= 8 then dt_now := Float.min dt_max (!dt_now *. 1.3)
-          else if iters > 16 then dt_now := Float.max dt_min (!dt_now /. 2.0)
-        end;
-        accept s
-      end
+      else accept (step dt)
     done;
     res.final_x <- !x;
     res.n_newton <- tm.Diag.newton_iterations - iters0;
@@ -1137,29 +1113,8 @@ let transient_opts ?x0 ?telemetry ?(obs = Obs.disabled) t ~(o : Opts.t)
     flush ~failed:true;
     Error f
 
-let transient_r ?opts ?integration ?dt ?record ?max_newton ?x0 ?uic
-    ?adaptive ?policy ?telemetry ?obs t ~t_stop =
-  let o = Option.value opts ~default:t.opts in
-  let o =
-    { o with
-      Opts.integration = Option.value integration ~default:o.Opts.integration;
-      dt = (match dt with Some _ -> dt | None -> o.Opts.dt);
-      record = Option.value record ~default:o.Opts.record;
-      max_newton = Option.value max_newton ~default:o.Opts.max_newton;
-      uic = Option.value uic ~default:o.Opts.uic;
-      adaptive = Option.value adaptive ~default:o.Opts.adaptive;
-      policy = Option.value policy ~default:o.Opts.policy;
-      (* the fast mode is structural: fixed at prepare time *)
-      fast = t.opts.Opts.fast }
-  in
-  transient_opts ?x0 ?telemetry ?obs t ~o ~t_stop
-
-let transient ?integration ?dt ?record ?max_newton ?x0 ?uic ?adaptive t
-    ~t_stop =
-  match
-    transient_r ?integration ?dt ?record ?max_newton ?x0 ?uic ?adaptive t
-      ~t_stop
-  with
+let transient ?x0 t ~t_stop =
+  match transient_r ?x0 t ~t_stop with
   | Ok res -> res
   | Error f -> raise (No_convergence (Diag.failure_to_string f))
 

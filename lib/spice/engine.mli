@@ -6,15 +6,17 @@
     Backward-Euler fallback / transient gmin ramping / DC re-seeding for
     rejected transient steps.
 
-    Analysis knobs live in a typed options record, {!Opts.t}, threaded
-    through {!prepare} and overridable per call on {!transient_r} /
-    {!dc_r}.  The [fast] option selects the fast transient path:
-    [`Reduce] eliminates series-RC chain interiors from the unknown
-    vector at prepare time (exact — interior waveforms are recovered by
-    back-substitution), and [`Reduce_bypass] additionally skips model
-    re-evaluation for quiescent transistors and drives the time step
-    with a local-truncation-error controller.  [`Off] (the default) is
-    bit-identical to the historical engine.
+    Every analysis knob lives in one typed options record, {!Opts.t},
+    given to {!prepare}; each analysis on the prepared context runs
+    under those options, and no analysis call overrides them.  The
+    [fast] option selects the fast transient path and with it the step
+    rule: [`Off] (the default, bit-identical to the historical engine)
+    and [`Reduce] take fixed steps; [`Reduce] also eliminates
+    series-RC chain interiors from the unknown vector (exact —
+    interior waveforms are recovered by back-substitution), and
+    [`Reduce_bypass] additionally skips model re-evaluation for
+    quiescent transistors and drives the time step with a
+    local-truncation-error controller.
 
     Each analysis exists in two forms: a [Result]-typed variant
     ({!dc_r}, {!transient_r}) returning [Ok result] or a structured
@@ -47,17 +49,8 @@ module Opts : sig
         (** nominal transient step; [None] derives it from [t_stop] and
             the fastest explicit RC time constant *)
     record : record;            (** default [All] *)
-    max_newton : int;           (** per-solve iteration budget, 40 *)
     uic : bool;                 (** skip the initial DC solve *)
-    adaptive : bool;
-        (** iteration-count step control (ignored under
-            [`Reduce_bypass], which uses the LTE controller) *)
     fast : fast;                (** default [`Off] *)
-    bypass_vtol : float;
-        (** terminal-voltage quiescence threshold for the device
-            bypass, volts (default 2e-4) *)
-    lte_rel : float;  (** relative LTE band (default 0.02) *)
-    lte_abs : float;  (** absolute LTE band, volts (default 5e-4) *)
     policy : Recover.policy;  (** default {!Recover.default} *)
   }
 
@@ -66,12 +59,8 @@ module Opts : sig
   val with_integration : integration -> t -> t
   val with_dt : float -> t -> t
   val with_record : record -> t -> t
-  val with_max_newton : int -> t -> t
   val with_uic : bool -> t -> t
-  val with_adaptive : bool -> t -> t
   val with_fast : fast -> t -> t
-  val with_bypass_vtol : float -> t -> t
-  val with_lte : rel:float -> abs:float -> t -> t
   val with_policy : Recover.policy -> t -> t
 
   val fast_of_string : string -> (fast, string) result
@@ -86,11 +75,10 @@ type t
     reduced chains and their scratch state). *)
 
 val prepare : ?opts:Opts.t -> Netlist.Transistor.t -> t
-(** [prepare ?opts netlist] resolves the MNA structure once.  The
-    [fast] option is structural — it decides the unknown numbering and
-    sparsity pattern — so it is fixed here; the remaining options become
-    the analysis defaults, overridable per {!transient_r} / {!dc_r}
-    call. *)
+(** [prepare ?opts netlist] resolves the MNA structure once and fixes
+    the options (default {!Opts.default}) of every analysis run on the
+    result.  [fast] is structural — it decides the unknown numbering and
+    sparsity pattern. *)
 
 val system : t -> Mna.system
 val opts : t -> Opts.t
@@ -104,8 +92,6 @@ val default_dt : t -> t_stop:float -> float
 val dc_r :
   ?time:float ->
   ?x0:float array ->
-  ?policy:Recover.policy ->
-  ?opts:Opts.t ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
   t ->
@@ -113,10 +99,9 @@ val dc_r :
 (** Operating point with the sources evaluated at [time] (default 0).
     [x0] seeds the Newton iteration (see {!initial_guess}) and also
     warm-starts every recovery strategy.  On failure of the direct
-    solve the policy's DC strategies (default: gmin ramp, then source
-    stepping) are tried in order, each bounded by the policy budgets;
-    [?policy] takes precedence over [?opts], which takes precedence
-    over the prepare-time options.  [telemetry] (optional,
+    solve the [policy] option's DC strategies (default: gmin ramp, then
+    source stepping) are tried in order, each bounded by the policy
+    budgets.  [telemetry] (optional,
     caller-owned) accumulates effort counters across calls.  [obs]
     (default [Obs.disabled]) records a ["spice.dc"] span carrying the
     analysis's Newton/factorization deltas as args, and flushes the
@@ -128,7 +113,7 @@ val dc_r :
     solution are recovered on success and readable with {!voltage}. *)
 
 val dc : ?time:float -> ?x0:float array -> t -> float array
-(** {!dc_r} with the default policy.
+(** {!dc_r}, raising on failure.
     @raise No_convergence when every strategy fails. *)
 
 val initial_guess :
@@ -144,38 +129,25 @@ val voltage : t -> float array -> Netlist.Transistor.node -> float
 type result
 
 val transient_r :
-  ?opts:Opts.t ->
-  ?integration:integration ->
-  ?dt:float ->
-  ?record:record ->
-  ?max_newton:int ->
   ?x0:float array ->
-  ?uic:bool ->
-  ?adaptive:bool ->
-  ?policy:Recover.policy ->
   ?telemetry:Diag.telemetry ->
   ?obs:Obs.t ->
   t ->
   t_stop:float ->
   (result, Diag.failure) Stdlib.result
-(** Simulate from a [dc_r] initial condition at [t = 0] to [t_stop].
+(** Simulate from a [dc_r] initial condition at [t = 0] to [t_stop],
+    under the options given to {!prepare}.
 
-    Options resolve in precedence order: the individual optional
-    arguments (deprecated, kept as thin wrappers for existing callers),
-    then [?opts], then the prepare-time options.  The [fast] mode is
-    always the prepare-time one (it is structural).
-
-    [dt] defaults to {!default_dt}; [x0] seeds the DC solve.  With
-    [uic] (default false) the DC solve is skipped entirely and [x0] is
+    The [dt] option defaults to {!default_dt}; [x0] seeds the DC solve.
+    With the [uic] option the DC solve is skipped entirely and [x0] is
     taken as the initial state — the integrator settles any
     inconsistency within a few steps, which is how very large blocks
-    whose cold DC diverges are simulated.  With [adaptive] (default
-    false) the step size floats in [dt/16, 8*dt] on a Newton-iteration-
-    count heuristic, trading exact step placement for speed.  Under
-    [`Reduce_bypass] the step is instead driven by a local-truncation-
-    error controller in [dt/16, 64*dt], clamped so it never strides
-    across a source-waveform breakpoint.  Only recorded nodes (default
-    [All]) can be read back with {!waveform}.
+    whose cold DC diverges are simulated.  Under [`Off] and [`Reduce]
+    every step is [dt] (the last one clipped to [t_stop]).  Under
+    [`Reduce_bypass] the step is driven by a local-truncation-error
+    controller in [dt/16, 64*dt], clamped so it never strides across a
+    source-waveform breakpoint.  Only recorded nodes (the [record]
+    option, default [All]) can be read back with {!waveform}.
 
     A rejected step walks the policy's transient strategies in order
     (default: step halving, Backward-Euler fallback, transient gmin
@@ -190,18 +162,8 @@ val transient_r :
     @raise Invalid_argument on [t_stop <= 0], [dt <= 0] or
     [dt > t_stop]. *)
 
-val transient :
-  ?integration:integration ->
-  ?dt:float ->
-  ?record:record ->
-  ?max_newton:int ->
-  ?x0:float array ->
-  ?uic:bool ->
-  ?adaptive:bool ->
-  t ->
-  t_stop:float ->
-  result
-(** {!transient_r} with the default policy.
+val transient : ?x0:float array -> t -> t_stop:float -> result
+(** {!transient_r}, raising on failure.
     @raise No_convergence when a step fails even after every recovery
     strategy. *)
 

@@ -38,7 +38,10 @@ val strict : policy
 
 val with_newton_budget : int -> policy -> policy
 (** Cap both the direct and the assisted Newton budgets at [n] — the
-    production knob for bounding solver effort per analysis.
+    production knob for bounding solver effort per analysis.  The
+    direct budget bounds the DC operating-point solve and the assisted
+    one every recovery-ladder solve; a transient step's nominal and
+    step-halving solves keep the engine's fixed 40-iteration budget.
     @raise Invalid_argument when [n <= 0]. *)
 
 val pp_policy : Format.formatter -> policy -> unit

@@ -276,10 +276,13 @@ let test_sequence_random_workload () =
         (Mtcmos.Sequence.run add.Circuits.Ripple_adder.circuit
            ~period:1e-9 ~vectors:[ [ (2, 0); (2, 0) ] ]))
 
-(* ---- adaptive stepping -------------------------------------------------------- *)
+(* ---- adaptive stepping (LTE controller) --------------------------------------- *)
 
 let test_adaptive_stepping () =
-  (* RC discharge: adaptive must use fewer steps and stay accurate *)
+  (* RC discharge: the LTE controller ([`Reduce_bypass]) must use fewer
+     steps than the fixed step and stay accurate.  Trapezoidal, because
+     Backward-Euler's first-order error at the LTE band's large steps
+     sits right at the 0.02 bound. *)
   let b = Netlist.Transistor.builder () in
   let src = Netlist.Transistor.node b in
   let n = Netlist.Transistor.node ~name:"out" b in
@@ -294,21 +297,27 @@ let test_adaptive_stepping () =
   Netlist.Transistor.add b
     (Netlist.Transistor.Cap { pos = n; neg = Netlist.Transistor.ground; c });
   let netlist = Netlist.Transistor.freeze b in
-  let eng = Spice.Engine.prepare netlist in
-  let fixed =
-    Spice.Engine.transient eng ~t_stop:(5.0 *. tau) ~dt:(tau /. 200.0)
+  let run opts =
+    let opts = Spice.Engine.Opts.(opts |> with_dt (tau /. 200.0)) in
+    Spice.Engine.transient
+      (Spice.Engine.prepare ~opts netlist)
+      ~t_stop:(5.0 *. tau)
   in
-  let adaptive =
-    Spice.Engine.transient ~adaptive:true eng ~t_stop:(5.0 *. tau)
-      ~dt:(tau /. 200.0)
+  let fixed = run Spice.Engine.Opts.default in
+  let lte =
+    run
+      Spice.Engine.Opts.(
+        default
+        |> with_fast `Reduce_bypass
+        |> with_integration Spice.Engine.Trapezoidal)
   in
   Alcotest.(check bool)
     (Printf.sprintf "fewer steps (%d vs %d)"
-       (Spice.Engine.steps_taken adaptive)
+       (Spice.Engine.steps_taken lte)
        (Spice.Engine.steps_taken fixed))
     true
-    (Spice.Engine.steps_taken adaptive < Spice.Engine.steps_taken fixed);
-  let w = Spice.Engine.waveform adaptive n in
+    (Spice.Engine.steps_taken lte < Spice.Engine.steps_taken fixed);
+  let w = Spice.Engine.waveform lte n in
   Alcotest.(check (float 0.02)) "still accurate at 1 tau" (exp (-1.0))
     (Phys.Pwl.value_at w tau)
 

@@ -12,6 +12,16 @@ module R = Spice.Recover
 
 let tech = Fixtures.tech
 
+(* a corpus case's engine: its step, its watched node, and [policy] *)
+let prep ?(policy = R.default) (case : F.case) =
+  E.prepare
+    ~opts:
+      E.Opts.(
+        default |> with_dt case.F.dt
+        |> with_record (E.Nodes [ case.F.watch ])
+        |> with_policy policy)
+    case.F.netlist
+
 let finite_waveform w =
   List.for_all
     (fun (t, v) -> Float.is_finite t && Float.is_finite v)
@@ -31,12 +41,9 @@ let check_diagnosis ~what (f : D.failure) =
 let transient_case fault () =
   let case = F.inject ~tech fault in
   let what = F.name fault in
-  let eng = E.prepare case.F.netlist in
+  let eng = prep case in
   let tm = D.create_telemetry () in
-  match
-    E.transient_r eng ~dt:case.F.dt ~t_stop:case.F.t_stop
-      ~record:(E.Nodes [ case.F.watch ]) ~telemetry:tm
-  with
+  match E.transient_r eng ~t_stop:case.F.t_stop ~telemetry:tm with
   | Ok res ->
     Alcotest.(check bool)
       (what ^ ": recovered run has only finite samples")
@@ -71,8 +78,8 @@ let dc_case fault () =
 let strict_never_raises () =
   List.iter
     (fun (case : F.case) ->
-      let eng = E.prepare case.F.netlist in
-      (match E.dc_r ~policy:R.strict eng with
+      let eng = prep ~policy:R.strict case in
+      (match E.dc_r eng with
        | Ok _ -> ()
        | Error f ->
          Alcotest.(check (list string))
@@ -81,10 +88,7 @@ let strict_never_raises () =
        | exception e ->
          Alcotest.failf "%s: strict dc_r leaked exception %s"
            (F.name case.F.fault) (Printexc.to_string e));
-      match
-        E.transient_r ~policy:R.strict eng ~dt:case.F.dt
-          ~t_stop:case.F.t_stop ~record:(E.Nodes [ case.F.watch ])
-      with
+      match E.transient_r eng ~t_stop:case.F.t_stop with
       | Ok _ | Error _ -> ()
       | exception e ->
         Alcotest.failf "%s: strict transient_r leaked exception %s"
@@ -101,10 +105,10 @@ let healthy_deck () =
    ladder, and the rescue must be visible in telemetry *)
 let gmin_ladder_rescues () =
   let netlist, _ = healthy_deck () in
-  let eng = E.prepare netlist in
   let policy = { R.default with R.direct_max_iter = 1 } in
+  let eng = E.prepare ~opts:E.Opts.(default |> with_policy policy) netlist in
   let tm = D.create_telemetry () in
-  match E.dc_r ~policy ~telemetry:tm eng with
+  match E.dc_r ~telemetry:tm eng with
   | Error f ->
     Alcotest.failf "starved DC not rescued: %s" (D.failure_to_string f)
   | Ok x ->
@@ -130,8 +134,9 @@ let source_stepping_rescues () =
       R.dc_strategies = [ R.Source_step ];
       direct_max_iter = 1 }
   in
+  let starved = E.prepare ~opts:E.Opts.(default |> with_policy policy) netlist in
   let tm = D.create_telemetry () in
-  match E.dc_r ~policy ~telemetry:tm eng with
+  match E.dc_r ~telemetry:tm starved with
   | Error f ->
     Alcotest.failf "source stepping did not rescue: %s"
       (D.failure_to_string f)
@@ -148,12 +153,14 @@ let source_stepping_rescues () =
 
 let transient_dt_validation () =
   let netlist, watch = healthy_deck () in
-  let eng = E.prepare netlist in
+  let eng =
+    E.prepare
+      ~opts:E.Opts.(default |> with_dt 2e-9 |> with_record (E.Nodes [ watch ]))
+      netlist
+  in
   Alcotest.check_raises "dt > t_stop rejected"
     (Invalid_argument "Engine.transient: dt > t_stop") (fun () ->
-      ignore
-        (E.transient_r eng ~dt:2e-9 ~t_stop:1e-9
-           ~record:(E.Nodes [ watch ])))
+      ignore (E.transient_r eng ~t_stop:1e-9))
 
 (* bounded effort: even the pathological corpus must finish quickly.
    Generous wall-clock bound — this guards against hangs, not speed. *)
@@ -161,11 +168,9 @@ let corpus_terminates_quickly () =
   let t0 = Sys.time () in
   List.iter
     (fun (case : F.case) ->
-      let eng = E.prepare case.F.netlist in
+      let eng = prep case in
       ignore (E.dc_r eng);
-      ignore
-        (E.transient_r eng ~dt:case.F.dt ~t_stop:case.F.t_stop
-           ~record:(E.Nodes [ case.F.watch ])))
+      ignore (E.transient_r eng ~t_stop:case.F.t_stop))
     (F.corpus ~tech);
   let elapsed = Sys.time () -. t0 in
   Alcotest.(check bool)

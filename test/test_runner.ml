@@ -172,7 +172,8 @@ let test_journal_round_trip () =
       with_tail "j3 12 {\"id\"" "short framed payload dropped";
       with_tail "j3 12 {\"id\"\n" "terminated short payload dropped";
       with_tail "j3" "bare id dropped";
-      with_tail "j3 8 {\"x\":1}" "unterminated framed record dropped")
+      with_tail "j3 8 {\"x\":1}" "unterminated framed record dropped";
+      with_tail "j3 {\"id\":\"j3\"}\n" "unframed record dropped")
 
 (* Exhaustive torn-tail fuzz: truncate a valid journal at every byte
    offset.  load must never raise, and whenever it answers Ok the

@@ -7,9 +7,9 @@
      alike — matches the unreduced engine to solver rounding, for both
      integration methods, and DC back-substitution matches the
      closed-form divider (including a ground-anchored chain).
-   - [`Off] through the new Opts record is bit-identical to the legacy
-     optional-argument wrappers, and bit-identical across jobs {1,4} x
-     cache {off,on} through the Sizing front end.
+   - [`Off] reproduces a recorded ladder trajectory bit for bit, and is
+     bit-identical across jobs {1,4} x cache {off,on} through the
+     Sizing front end.
    - [`Reduce_bypass] stays within its calibrated tolerance band at
      every recorded output and its critical delays track [`Off].
    - the default transient step is derived from the fastest explicit RC
@@ -43,7 +43,8 @@ let ladder ?(segments = 12) ?(r = 1000.0) ?(c = 1e-13) () =
     nodes;
   (T.freeze b, src, nodes)
 
-let prep netlist fast = E.prepare ~opts:E.Opts.(default |> with_fast fast) netlist
+let prep ?(opts = E.Opts.default) netlist fast =
+  E.prepare ~opts:E.Opts.(opts |> with_fast fast) netlist
 
 let test_reduce_shrinks_system () =
   let netlist, _, nodes = ladder () in
@@ -63,9 +64,10 @@ let test_transient_interiors_exact () =
   List.iter
     (fun integration ->
       let run fast =
-        let eng = prep netlist fast in
+        let opts = E.Opts.(default |> with_integration integration |> with_dt dt) in
+        let eng = prep ~opts netlist fast in
         let res =
-          match E.transient_r ~integration ~dt eng ~t_stop with
+          match E.transient_r eng ~t_stop with
           | Ok r -> r
           | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
         in
@@ -140,42 +142,37 @@ let test_default_dt_from_tau () =
     "floor at t_stop/50000" (t_stop /. 50000.0)
     (E.default_dt eng ~t_stop)
 
-(* The legacy optional arguments are thin wrappers over Opts: same
-   values, bit-identical trajectory. *)
-let test_wrappers_bit_identical () =
+(* [`Off] on the 12-segment ladder (trapezoidal, dt = tau/20, 20 tau):
+   final solution and step count recorded from the engine as it stood
+   before the options channel was narrowed to [prepare].  Any change to
+   the [`Off] arithmetic shows up here as a changed bit. *)
+let off_ladder_final =
+  [| 0x1.0000000000297p+0; 0x1.b4ad9a946be5fp-1; 0x1.6c003e1e32548p-1;
+     0x1.2853c3556a73bp-1; 0x1.d6ff6105d357cp-2; 0x1.6d68cfc60c367p-2;
+     0x1.14e96585d6dbcp-2; 0x1.9aa4ce3bb52d5p-3; 0x1.2b19c8467c413p-3;
+     0x1.afe0db6512c75p-4; 0x1.3b252667436c9p-4; 0x1.e2eda7559105dp-5;
+     0x1.9bdc80a112e76p-5; -0x1.3484b1fc9964p-13 |]
+
+let test_off_pinned () =
   let netlist, _, _ = ladder () in
   let tau = 1e-10 in
-  let eng = E.prepare netlist in
-  let via_args =
-    E.transient ~integration:E.Trapezoidal ~dt:(tau /. 20.0) eng
-      ~t_stop:(20.0 *. tau)
+  let opts =
+    E.Opts.(default |> with_integration E.Trapezoidal |> with_dt (tau /. 20.0))
   in
-  let eng2 =
-    E.prepare
-      ~opts:
-        E.Opts.(
-          default
-          |> with_integration E.Trapezoidal
-          |> with_dt (tau /. 20.0))
-      netlist
-  in
-  let via_opts =
-    match E.transient_r eng2 ~t_stop:(20.0 *. tau) with
+  let res =
+    match E.transient_r (prep ~opts netlist `Off) ~t_stop:(20.0 *. tau) with
     | Ok r -> r
     | Error f -> Alcotest.failf "transient: %s" (Spice.Diag.failure_to_string f)
   in
-  let xa = E.final_solution via_args and xo = E.final_solution via_opts in
-  Alcotest.(check int) "same unknowns" (Array.length xa) (Array.length xo);
+  let x = E.final_solution res in
+  Alcotest.(check int) "same unknowns" (Array.length off_ladder_final)
+    (Array.length x);
   Array.iteri
     (fun i v ->
-      if not (Float.equal v xo.(i)) then
-        Alcotest.failf "unknown %d: %h vs %h" i v xo.(i))
-    xa;
-  Alcotest.(check int) "same steps" (E.steps_taken via_args)
-    (E.steps_taken via_opts);
-  Alcotest.(check int) "same newton effort"
-    (E.newton_iterations via_args)
-    (E.newton_iterations via_opts)
+      if not (Float.equal v off_ladder_final.(i)) then
+        Alcotest.failf "unknown %d: %h vs recorded %h" i v off_ladder_final.(i))
+    x;
+  Alcotest.(check int) "same steps" 400 (E.steps_taken res)
 
 (* [`Off] through the Sizing front end: bit-identical across worker
    counts and cache states (the cache key digests the fast mode, so an
@@ -281,7 +278,7 @@ let suite =
       `Quick test_dc_ground_anchored_chain;
     Alcotest.test_case "default dt derives from fastest RC tau" `Quick
       test_default_dt_from_tau;
-    Alcotest.test_case "legacy wrappers == Opts record (bit-identical)"
-      `Quick test_wrappers_bit_identical;
+    Alcotest.test_case "`Off ladder pinned (bit-identical)" `Quick
+      test_off_pinned;
     seeded prop_off_jobs_cache_invariant;
     seeded prop_bypass_within_band ]

@@ -34,10 +34,12 @@ let rc_netlist () =
 
 let test_rc_discharge () =
   let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Spice.Engine.transient eng ~t_stop:(5.0 *. tau) ~dt:(tau /. 400.0)
+  let eng =
+    Spice.Engine.prepare
+      ~opts:Spice.Engine.Opts.(default |> with_dt (tau /. 400.0))
+      netlist
   in
+  let res = Spice.Engine.transient eng ~t_stop:(5.0 *. tau) in
   let w = Spice.Engine.waveform res n in
   List.iter
     (fun k ->
@@ -51,22 +53,32 @@ let test_rc_discharge () =
 
 let test_rc_trapezoidal () =
   let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Spice.Engine.transient ~integration:Spice.Engine.Trapezoidal eng
-      ~t_stop:(3.0 *. tau) ~dt:(tau /. 100.0)
+  let eng =
+    Spice.Engine.prepare
+      ~opts:
+        Spice.Engine.Opts.(
+          default
+          |> with_integration Spice.Engine.Trapezoidal
+          |> with_dt (tau /. 100.0))
+      netlist
   in
+  let res = Spice.Engine.transient eng ~t_stop:(3.0 *. tau) in
   let w = Spice.Engine.waveform res n in
   Alcotest.(check (float 0.01)) "trapezoidal decay" (exp (-1.0))
     (Phys.Pwl.value_at w tau)
 
 let test_record_subset () =
   let netlist, n, tau = rc_netlist () in
-  let eng = Spice.Engine.prepare netlist in
-  let res =
-    Spice.Engine.transient eng ~t_stop:tau ~dt:(tau /. 50.0)
-      ~record:(Spice.Engine.Nodes [ n ])
+  let eng =
+    Spice.Engine.prepare
+      ~opts:
+        Spice.Engine.Opts.(
+          default
+          |> with_dt (tau /. 50.0)
+          |> with_record (Spice.Engine.Nodes [ n ]))
+      netlist
   in
+  let res = Spice.Engine.transient eng ~t_stop:tau in
   ignore (Spice.Engine.waveform res n);
   (try
      ignore (Spice.Engine.waveform res T.ground);
@@ -118,8 +130,11 @@ let test_inverter_dc_levels () =
 let inverter_fall_delay ~cl =
   let edge = Phys.Pwl.create [ (0.0, 0.0); (50e-12, 0.0); (60e-12, 1.2) ] in
   let netlist, vout = inverter_netlist ~wl_n:2.0 ~wl_p:4.0 ~cl ~vin_wave:edge in
-  let eng = Spice.Engine.prepare netlist in
-  let res = Spice.Engine.transient eng ~t_stop:2e-9 ~dt:1e-12 in
+  let eng =
+    Spice.Engine.prepare ~opts:Spice.Engine.Opts.(default |> with_dt 1e-12)
+      netlist
+  in
+  let res = Spice.Engine.transient eng ~t_stop:2e-9 in
   let w = Spice.Engine.waveform res vout in
   match
     Spice.Measure.propagation_delay ~vin:edge ~vout:w ~vdd:1.2
