@@ -1,14 +1,13 @@
 (* mtsize: the MTCMOS sleep-transistor sizing tool as a CLI.
 
-   Subcommands:
-     sweep         delay/degradation vs W/L for a circuit and vector set
-     size          minimum W/L for a target degradation
-     worst-vectors rank input transitions by MTCMOS susceptibility
-     simulate      one transition in detail (waveform summary)
-     compare       switch-level vs transistor-level on one transition
-     estimate      the naive baselines (sum-of-widths, peak-current)
-     run           a declarative batch of the above through one shared
-                   evaluation context, with journaled resume *)
+   Analysis jobs (sweep, size, worst-vectors, search, select) are
+   one-job batch specs: the flags become a Runner.Spec.kind, computed by
+   Runner.compute (the code a batch job runs), and the typed result is
+   printed as text.  Single analyses: simulate, compare, estimate, sta,
+   energy, wakeup, lint, workload, scale.  Exports and checks:
+   export-deck, dot, trace-check.  Batches: run (a job file through one
+   shared evaluation context, with journaled resume), serve (the
+   sizing daemon) and submit (a client of it). *)
 
 open Cmdliner
 
@@ -74,13 +73,6 @@ let newton_budget_term =
   in
   Arg.(value & opt int 0 & info [ "newton-budget" ] ~docv:"N" ~doc)
 
-let policy_of_budget n =
-  if n > 0 then
-    Some (Spice.Recover.with_newton_budget n Spice.Recover.default)
-  else if n < 0 then
-    or_die (Error (Printf.sprintf "--newton-budget %d: must be positive" n))
-  else None
-
 let print_resilience stats =
   if stats.Eval.Resilience.attempted > 0 then
     Format.printf "%a@." Eval.Resilience.pp_report stats
@@ -96,11 +88,6 @@ let jobs_term =
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let resolve_jobs n =
-  if n = 0 then Par.Pool.default_jobs ()
-  else if n > 0 then n
-  else or_die (Error (Printf.sprintf "--jobs %d: must be >= 0" n))
-
 let engine_term =
   let doc =
     "Delay engine: $(b,bp) (the fast switch-level breakpoint tool, the \
@@ -109,10 +96,7 @@ let engine_term =
   Arg.(
     value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let resolve_engine name =
-  match name with
-  | None -> Eval.Engine.Breakpoint
-  | Some s -> or_die (Eval.Engine.of_string s)
+let resolve_engine = Option.map (fun s -> or_die (Eval.Engine.of_string s))
 
 let fast_term =
   let doc =
@@ -138,14 +122,6 @@ type cache_opts = {
 }
 
 let cache_term =
-  let on =
-    let doc =
-      "Enable the evaluation cache.  This is the default; the flag \
-       exists to spell the intent (and to override a habit-formed \
-       $(b,--no-cache))."
-    in
-    Arg.(value & flag & info [ "cache" ] ~doc)
-  in
   let off =
     let doc = "Disable the evaluation cache." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
@@ -163,8 +139,7 @@ let cache_term =
     let doc = "Print cache hit/miss/eviction counters at the end." in
     Arg.(value & flag & info [ "cache-stats" ] ~doc)
   in
-  let make on off file show =
-    ignore on;
+  let make off file show =
     if off then { cache = None; cache_file = None; show_stats = show }
     else
       let c =
@@ -178,7 +153,7 @@ let cache_term =
       in
       { cache = Some c; cache_file = file; show_stats = show }
   in
-  Term.(const make $ on $ off $ file $ show)
+  Term.(const make $ off $ file $ show)
 
 let finish_cache co =
   match (co.cache, co.cache_file) with
@@ -296,53 +271,67 @@ let finish_obs ?co oo =
    | Some f -> Obs.write_profile oo.obs f);
   if oo.report then print_string (Obs.report oo.obs)
 
-let ctx_of ?policy ?stats ?(obs = Obs.disabled) ?(fast = `Off) ~engine ~jobs
-    co =
-  let ctx =
-    Eval.Ctx.default
-    |> Eval.Ctx.with_engine engine
-    |> Eval.Ctx.with_fast fast
-    |> Eval.Ctx.with_jobs jobs
-    |> Eval.Ctx.with_obs obs
+(* A run's context, built as a batch job's is: the engine, jobs and
+   Newton-budget flags are the job's overrides over a base context with
+   the cache, observability and fast mode. *)
+let cli_ctx ?(fast = `Off) ?kind ?engine ?jobs ?newton_budget ~obs co =
+  let jobs =
+    Option.map (fun n -> if n = 0 then Par.Pool.default_jobs () else n) jobs
   in
-  let ctx =
-    match policy with Some p -> Eval.Ctx.with_policy p ctx | None -> ctx
+  let ov = { Runner.Spec.engine; jobs; newton_budget } in
+  or_die (Runner.Spec.validate ov kind);
+  Runner.job_ctx
+    (Eval.Ctx.override ~fast ~obs ?cache:co.cache Eval.Ctx.default)
+    Runner.Spec.no_overrides ov
+
+(* A per-job error exits 1, but only after the cache is saved: the work
+   done before the failure still persists to --cache-file. *)
+let run_job ?fast ?engine ?jobs ?newton_budget tech bc kind co oo print =
+  let ctx, stats =
+    Eval.Ctx.for_job
+      (cli_ctx ?fast:(Option.map resolve_fast fast) ~kind
+         ?engine:(resolve_engine engine) ?jobs ?newton_budget ~obs:oo.obs co)
   in
-  let ctx =
-    match stats with
-    | Some s ->
-      (* the root accumulator (and only the root — worker shards merge
-         into it) mirrors its counts into the registry *)
-      if Obs.metrics_on obs then Eval.Resilience.attach_obs s obs;
-      Eval.Ctx.with_stats s ctx
-    | None -> ctx
+  let ok =
+    match Runner.compute ctx tech (Some bc) kind with
+    | r ->
+      print ctx r;
+      true
+    | exception Failure m ->
+      prerr_endline ("mtsize: " ^ m);
+      false
   in
-  match co.cache with Some c -> Eval.Ctx.with_cache c ctx | None -> ctx
+  print_resilience stats;
+  finish_cache co;
+  finish_obs ~co oo;
+  if not ok then exit 1
+
+module Default = Runner.Spec.Default
+
+let fmt_vector g =
+  String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
 
 (* ---- subcommands ---------------------------------------------------------- *)
 
 let sweep_cmd =
   let run tech_name circuit_name vectors wls engine fast budget jobs co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Eval.Resilience.create () in
-    let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
-        ~jobs:(resolve_jobs jobs) co
-    in
-    Format.printf "%s: %a@." bc.name Netlist.Circuit.pp_stats bc.circuit;
-    Mtcmos.Sizing.sweep ~ctx bc.circuit ~vectors:vecs ~wls
-    |> List.iter (fun m ->
-           Format.printf "%a@." Mtcmos.Sizing.pp_measurement m);
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo
+    let tech, bc, _ = or_die (setup tech_name circuit_name vectors) in
+    run_job ~fast ?engine ~jobs ~newton_budget:budget tech bc
+      (Runner.Spec.Sweep { wls; vectors }) co oo
+      (fun _ -> function
+        | Runner.Measurements ms ->
+          Format.printf "%s: %a@." bc.name Netlist.Circuit.pp_stats
+            bc.circuit;
+          List.iter
+            (fun m -> Format.printf "%a@." Mtcmos.Sizing.pp_measurement m)
+            ms
+        | _ -> assert false)
   in
   let wls_term =
     let doc = "Sleep W/L values to sweep." in
     Arg.(
       value
-      & opt (list float) [ 2.0; 5.0; 10.0; 20.0; 50.0; 100.0 ]
+      & opt (list float) Default.wls
       & info [ "w"; "wl" ] ~docv:"WLS" ~doc)
   in
   Cmd.v
@@ -354,52 +343,33 @@ let sweep_cmd =
 let size_cmd =
   let run tech_name circuit_name vectors target engine fast budget jobs
       repair co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let stats = Eval.Resilience.create () in
-    let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:(resolve_engine engine)
-        ~jobs:(resolve_jobs jobs) co
+    let tech, bc, _ = or_die (setup tech_name circuit_name vectors) in
+    let repair =
+      if repair then Some (Mtcmos.Resize.fix_weak_drivers bc.circuit)
+      else None
     in
-    let infeasible = ref false in
-    (try
-       if repair then begin
-         let r =
-           Mtcmos.Resize.repair_and_size ~ctx bc.circuit ~vectors:vecs
-             ~target
-         in
-         if r.Mtcmos.Resize.repair.Mtcmos.Resize.upsized <> [] then
-           Format.printf "repaired %d weak driver(s) in %d pass(es)@."
-             (List.length r.Mtcmos.Resize.repair.Mtcmos.Resize.upsized)
-             r.Mtcmos.Resize.repair.Mtcmos.Resize.iterations;
-         Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
-           (100.0 *. target) r.Mtcmos.Resize.wl;
-         Format.printf "%a@." Mtcmos.Sizing.pp_measurement
-           r.Mtcmos.Resize.measurement
-       end
-       else begin
-         let wl =
-           Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
-             ~target
-         in
-         let m = Mtcmos.Sizing.delay_at ~ctx bc.circuit ~vectors:vecs ~wl in
-         Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
-           (100.0 *. target) wl;
-         Format.printf "%a@." Mtcmos.Sizing.pp_measurement m
-       end
-     with Not_found ->
-       (* fall through: the work done bisecting is still worth saving —
-          --cache-file must persist even on the failure path *)
-       prerr_endline "mtsize: no feasible size in [0.5, 4096]";
-       infeasible := true);
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo;
-    if !infeasible then exit 1
+    let bc =
+      match repair with
+      | Some r -> { bc with circuit = r.Mtcmos.Resize.circuit }
+      | None -> bc
+    in
+    run_job ~fast ?engine ~jobs ~newton_budget:budget tech bc
+      (Runner.Spec.Size { target; vectors }) co oo
+      (fun _ -> function
+        | Runner.Sized { target; wl; measurement } ->
+          (match repair with
+           | Some { Mtcmos.Resize.upsized = _ :: _ as up; iterations; _ } ->
+             Format.printf "repaired %d weak driver(s) in %d pass(es)@."
+               (List.length up) iterations
+           | _ -> ());
+          Format.printf "minimum W/L for %.1f%% degradation: %.1f@."
+            (100.0 *. target) wl;
+          Format.printf "%a@." Mtcmos.Sizing.pp_measurement measurement
+        | _ -> assert false)
   in
   let target_term =
     let doc = "Degradation budget as a fraction (0.05 = 5%)." in
-    Arg.(value & opt float 0.05 & info [ "target" ] ~docv:"FRAC" ~doc)
+    Arg.(value & opt float Default.target & info [ "target" ] ~docv:"FRAC" ~doc)
   in
   let repair_term =
     let doc =
@@ -417,48 +387,35 @@ let size_cmd =
 let worst_cmd =
   let run tech_name circuit_name wl top sample co oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
-    let total_bits = List.fold_left ( + ) 0 bc.widths in
-    let pairs =
-      if 2 * total_bits <= 14 then
-        Mtcmos.Vectors.enumerate_pairs ~widths:bc.widths
-      else Mtcmos.Vectors.random_pairs ~widths:bc.widths sample
-    in
-    let sleep =
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-           ~vdd:tech.Device.Tech.vdd)
-    in
-    Format.printf "ranking %d vector pairs at W/L = %.0f...@."
-      (List.length pairs) wl;
-    let ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs:1 co in
-    let ranked = Mtcmos.Vectors.worst ~ctx bc.circuit ~sleep ~pairs ~top in
-    List.iter
-      (fun r ->
-        let fmt g =
-          String.concat ","
-            (List.map (fun (_, v) -> string_of_int v) g)
-        in
-        let before, after = r.Mtcmos.Vectors.pair in
-        Format.printf "(%s)->(%s)  delay %s  degradation %.1f%%  vx %s@."
-          (fmt before) (fmt after)
-          (Phys.Units.to_eng_string ~unit:"s" r.Mtcmos.Vectors.delay)
-          (100.0 *. r.Mtcmos.Vectors.degradation)
-          (Phys.Units.to_eng_string ~unit:"V" r.Mtcmos.Vectors.vx_peak))
-      ranked;
-    finish_cache co;
-    finish_obs ~co oo
+    run_job tech bc (Runner.Spec.Worst_vectors { wl; top; sample }) co oo
+      (fun _ -> function
+        | Runner.Ranked { pairs_examined; ranked } ->
+          Format.printf "ranking %d vector pairs at W/L = %.0f...@."
+            pairs_examined wl;
+          List.iter
+            (fun r ->
+              let before, after = r.Mtcmos.Vectors.pair in
+              Format.printf
+                "(%s)->(%s)  delay %s  degradation %.1f%%  vx %s@."
+                (fmt_vector before) (fmt_vector after)
+                (Phys.Units.to_eng_string ~unit:"s" r.Mtcmos.Vectors.delay)
+                (100.0 *. r.Mtcmos.Vectors.degradation)
+                (Phys.Units.to_eng_string ~unit:"V"
+                   r.Mtcmos.Vectors.vx_peak))
+            ranked
+        | _ -> assert false)
   in
   let wl_term =
     let doc = "Sleep transistor W/L." in
-    Arg.(value & opt float 10.0 & info [ "w"; "wl" ] ~docv:"WL" ~doc)
+    Arg.(value & opt float Default.wl & info [ "w"; "wl" ] ~docv:"WL" ~doc)
   in
   let top_term =
     let doc = "How many worst vectors to print." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt int Default.top & info [ "top" ] ~docv:"N" ~doc)
   in
   let sample_term =
     let doc = "Random sample size for wide circuits." in
-    Arg.(value & opt int 500 & info [ "sample" ] ~docv:"N" ~doc)
+    Arg.(value & opt int Default.sample & info [ "sample" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "worst-vectors"
@@ -509,15 +466,14 @@ let simulate_cmd =
 let compare_cmd =
   let run tech_name circuit_name vectors wl fast budget jobs co oo =
     let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    let jobs = resolve_jobs jobs in
     (* both engines share one cache (distinct key spaces); the spice
        path's internal bp estimates can hit the bp run's entries *)
-    let bp_ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs co in
+    let bp_ctx = cli_ctx ~engine:Eval.Engine.Breakpoint ~jobs ~obs:oo.obs co in
     let bp = Mtcmos.Sizing.delay_at ~ctx:bp_ctx bc.circuit ~vectors:vecs ~wl in
-    let stats = Eval.Resilience.create () in
-    let sp_ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~stats ~obs:oo.obs
-        ~fast:(resolve_fast fast) ~engine:Eval.Engine.Spice_level ~jobs co
+    let sp_ctx, stats =
+      Eval.Ctx.for_job
+        (cli_ctx ~fast:(resolve_fast fast) ~engine:Eval.Engine.Spice_level
+           ~jobs ~newton_budget:budget ~obs:oo.obs co)
     in
     let sp = Mtcmos.Sizing.delay_at ~ctx:sp_ctx bc.circuit ~vectors:vecs ~wl in
     Format.printf "switch-level:     %a@." Mtcmos.Sizing.pp_measurement bp;
@@ -553,7 +509,7 @@ let estimate_cmd =
     if ip > 0.0 then
       Format.printf "peak-current estimate:  W/L = %.1f@."
         (Mtcmos.Estimators.peak_current_wl tech ~i_peak:ip ~v_budget:vb);
-    let ctx = ctx_of ~obs:oo.obs ~engine:Eval.Engine.Breakpoint ~jobs:1 co in
+    let ctx = cli_ctx ~obs:oo.obs co in
     let wl =
       Mtcmos.Sizing.size_for_degradation ~ctx bc.circuit ~vectors:vecs
         ~target:0.05
@@ -610,64 +566,52 @@ let sta_cmd =
     Term.(const run $ tech_term $ circuit_term $ wl_term $ obs_term)
 
 let select_cmd =
-  let run tech_name circuit_name vectors budget clusters objective passes
-      bounce engine fast jobs co oo =
-    let _tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
-    if budget < 0.0 then
-      or_die
-        (Error (Printf.sprintf "--delay-budget %g: must be >= 0" budget));
-    if clusters < 1 then
-      or_die (Error (Printf.sprintf "--clusters %d: must be >= 1" clusters));
-    if passes < 0 then
-      or_die (Error (Printf.sprintf "--passes %d: must be >= 0" passes));
+  let run tech_name circuit_name vectors delay_budget clusters objective
+      passes bounce engine fast jobs co oo =
+    let tech, bc, vecs = or_die (setup tech_name circuit_name vectors) in
     let objective =
-      match Mtcmos.Selective.objective_of_string objective with
-      | Some o -> o
-      | None ->
-        or_die
-          (Error
-             (Printf.sprintf "unknown objective %S (leakage | area | mixed)"
-                objective))
+      or_die (Runner.Catalog.select_objective_of_name objective)
     in
-    let ctx =
-      ctx_of ~obs:oo.obs ~fast:(resolve_fast fast)
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
-    in
-    let bounce_vectors = if bounce then Some vecs else None in
-    (try
-       let r =
-         Mtcmos.Selective.optimize ~ctx ~objective ~clusters
-           ~max_passes:passes ?bounce_vectors bc.circuit
-           ~delay_budget:budget
-       in
-       Format.printf "%a@." Mtcmos.Selective.pp_result r;
-       finish_cache co;
-       finish_obs ~co oo
-     with Not_found ->
-       prerr_endline
-         "mtsize: delay budget infeasible even all-low-Vt at W/L 4096";
-       finish_cache co;
-       finish_obs ~co oo;
-       exit 1)
+    run_job ~fast ?engine ~jobs tech bc
+      (Runner.Spec.Select { delay_budget; clusters; objective; passes }) co oo
+      (fun ctx -> function
+        | Runner.Selected r ->
+          let vx_peak =
+            if bounce then
+              Some
+                (Mtcmos.Selective.bounce_peak ~ctx bc.circuit r
+                   ~vectors:vecs)
+            else None
+          in
+          Format.printf "%a@." (Mtcmos.Selective.pp_result ?vx_peak) r
+        | _ -> assert false)
   in
   let budget_term =
     let doc =
       "Allowed critical-arrival increase over the all-low-Vt ideal-ground \
        baseline, as a fraction (0.1 = 10%)."
     in
-    Arg.(value & opt float 0.1 & info [ "delay-budget" ] ~docv:"FRAC" ~doc)
+    Arg.(
+      value
+      & opt float Default.delay_budget
+      & info [ "delay-budget" ] ~docv:"FRAC" ~doc)
   in
   let clusters_term =
     let doc = "Number of sleep clusters to seed from the level bands." in
-    Arg.(value & opt int 4 & info [ "clusters" ] ~docv:"K" ~doc)
+    Arg.(value & opt int Default.clusters & info [ "clusters" ] ~docv:"K" ~doc)
   in
   let objective_term =
     let doc = "What to minimize: $(b,leakage), $(b,area) or $(b,mixed)." in
-    Arg.(value & opt string "leakage" & info [ "objective" ] ~docv:"OBJ" ~doc)
+    Arg.(
+      value
+      & opt string
+          (Mtcmos.Selective.objective_name
+             Default.select_objective)
+      & info [ "objective" ] ~docv:"OBJ" ~doc)
   in
   let passes_term =
     let doc = "Refinement rounds for the reclaim/move phases." in
-    Arg.(value & opt int 2 & info [ "passes" ] ~docv:"N" ~doc)
+    Arg.(value & opt int Default.passes & info [ "passes" ] ~docv:"N" ~doc)
   in
   let bounce_term =
     let doc =
@@ -796,44 +740,38 @@ let search_cmd =
   let run tech_name circuit_name wl restarts objective engine fast jobs co
       oo =
     let tech, bc, _ = or_die (setup tech_name circuit_name []) in
-    let sleep =
-      Mtcmos.Breakpoint_sim.Sleep_fet
-        (Device.Sleep.make tech.Device.Tech.sleep_nmos ~wl
-           ~vdd:tech.Device.Tech.vdd)
-    in
     let objective = or_die (Runner.Catalog.objective_of_name objective) in
-    let stats = Eval.Resilience.create () in
-    let ctx =
-      ctx_of ~stats ~obs:oo.obs ~fast:(resolve_fast fast)
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+    let kind =
+      Runner.Spec.Search
+        { wl; objective; restarts;
+          seed = Default.search_seed;
+          max_iters = Default.max_iters }
     in
-    let o =
-      Mtcmos.Search.hill_climb ~ctx ~restarts bc.circuit ~sleep
-        ~widths:bc.widths objective
-    in
-    let fmt g =
-      String.concat "," (List.map (fun (_, v) -> string_of_int v) g)
-    in
-    let before, after = o.Mtcmos.Search.pair in
-    Format.printf "worst found: (%s)->(%s) score %.4g (%d evaluations)@."
-      (fmt before) (fmt after) o.Mtcmos.Search.score
-      o.Mtcmos.Search.evaluations;
-    print_resilience stats;
-    finish_cache co;
-    finish_obs ~co oo
+    run_job ~fast ?engine ~jobs tech bc kind co oo
+      (fun _ -> function
+        | Runner.Found o ->
+          let before, after = o.Mtcmos.Search.pair in
+          Format.printf
+            "worst found: (%s)->(%s) score %.4g (%d evaluations)@."
+            (fmt_vector before) (fmt_vector after) o.Mtcmos.Search.score
+            o.Mtcmos.Search.evaluations
+        | _ -> assert false)
   in
   let wl_term =
     let doc = "Sleep transistor W/L." in
-    Arg.(value & opt float 10.0 & info [ "w"; "wl" ] ~docv:"WL" ~doc)
+    Arg.(value & opt float Default.wl & info [ "w"; "wl" ] ~docv:"WL" ~doc)
   in
   let restarts_term =
     let doc = "Hill-climb restarts." in
-    Arg.(value & opt int 8 & info [ "restarts" ] ~docv:"N" ~doc)
+    Arg.(value & opt int Default.restarts & info [ "restarts" ] ~docv:"N" ~doc)
   in
   let objective_term =
     let doc = "Objective: degradation | delay | vx | current." in
-    Arg.(value & opt string "degradation"
-         & info [ "objective" ] ~docv:"OBJ" ~doc)
+    Arg.(
+      value
+      & opt string
+          (Runner.Catalog.objective_name Default.search_objective)
+      & info [ "objective" ] ~docv:"OBJ" ~doc)
   in
   Cmd.v
     (Cmd.info "search"
@@ -1021,8 +959,8 @@ let run_cmd =
     (* The CLI flags are the outermost defaults: a job file's (defaults
        ...) form overrides them, and a per-job override wins over both. *)
     let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~obs:oo.obs
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+      cli_ctx ?engine:(resolve_engine engine) ~jobs ~newton_budget:budget
+        ~obs:oo.obs co
     in
     let stop_after = if stop_after > 0 then Some stop_after else None in
     let outcome =
@@ -1129,8 +1067,8 @@ let serve_cmd =
        given locally *)
     let obs = if Obs.enabled oo.obs then oo.obs else Obs.create () in
     let ctx =
-      ctx_of ?policy:(policy_of_budget budget) ~obs
-        ~engine:(resolve_engine engine) ~jobs:(resolve_jobs jobs) co
+      cli_ctx ?engine:(resolve_engine engine) ~jobs ~newton_budget:budget ~obs
+        co
     in
     let cfg =
       { Serve.Daemon.endpoint;

@@ -47,22 +47,3 @@ let fix_weak_drivers ?(ratio = 20.0) ?(max_iterations = 8) ?(factor = 2.0)
       (List.init n_gates (fun i -> i))
   in
   { circuit = repaired; iterations; upsized }
-
-type sized_report = {
-  repair : report;
-  wl : float;
-  measurement : Sizing.measurement;
-}
-
-let repair_and_size ?ctx ?ratio ?max_iterations ?factor ?wl_lo ?wl_hi
-    ?tolerance circuit ~vectors ~target =
-  let repair = fix_weak_drivers ?ratio ?max_iterations ?factor circuit in
-  (* the repaired circuit is a different structural key than the input,
-     so its bisection probes cache independently; within the bisection
-     (and any later sweep of the same circuit) probes hit *)
-  let wl =
-    Sizing.size_for_degradation ?ctx ?wl_lo ?wl_hi ?tolerance repair.circuit
-      ~vectors ~target
-  in
-  let measurement = Sizing.delay_at ?ctx repair.circuit ~vectors ~wl in
-  { repair; wl; measurement }

@@ -25,31 +25,3 @@ val fix_weak_drivers :
     (default 8) passes elapse.  [ratio] is forwarded to
     [Lint.check ~weak_driver_ratio].  Upsizing a gate loads its {e own}
     drivers harder, which is why the loop iterates to a fixpoint. *)
-
-type sized_report = {
-  repair : report;
-  wl : float;                       (** sleep W/L meeting the target *)
-  measurement : Sizing.measurement; (** verification at that size *)
-}
-
-val repair_and_size :
-  ?ctx:Eval.Ctx.t ->
-  ?ratio:float ->
-  ?max_iterations:int ->
-  ?factor:float ->
-  ?wl_lo:float ->
-  ?wl_hi:float ->
-  ?tolerance:float ->
-  Netlist.Circuit.t ->
-  vectors:Sizing.vector_pair list ->
-  target:float ->
-  sized_report
-(** Repair weak drivers, then bisect the sleep-transistor size of the
-    {e repaired} circuit to the degradation [target]
-    ([Sizing.size_for_degradation]) and verify with a final
-    [Sizing.delay_at] — the combined flow the paper's §5 sketches.
-    All evaluation knobs (engine, policy, stats, cache) come from
-    [?ctx]; with a cache, the bisection probes and the verification
-    measurement share entries.
-    @raise Not_found as [Sizing.size_for_degradation].
-    @raise Invalid_argument on an empty vector list. *)

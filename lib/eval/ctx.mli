@@ -3,8 +3,8 @@
     argument sprawl, plus the memoization cache and the observability
     handle.
 
-    Analysis entry points ([Sizing], [Search], [Resize], [Characterize],
-    [Variation]) take [?ctx:Ctx.t]. *)
+    Analysis entry points ([Sizing], [Search], [Selective],
+    [Characterize], [Variation]) take [?ctx:Ctx.t]. *)
 
 type t = {
   engine : Engine.t;          (** delay engine (default {!Engine.Breakpoint}) *)

@@ -92,19 +92,31 @@ let vectors_or_fail ~widths strs =
   | Ok v -> v
   | Error e -> failwith e
 
+type result =
+  | Measurements of Mtcmos.Sizing.measurement list
+  | Sized of {
+      target : float;
+      wl : float;
+      measurement : Mtcmos.Sizing.measurement;
+    }
+  | Ranked of { pairs_examined : int; ranked : Mtcmos.Vectors.ranking list }
+  | Found of Mtcmos.Search.outcome
+  | Points of Mtcmos.Characterize.point list
+  | Mc_stats of Mtcmos.Variation.stats
+  | Selected of Mtcmos.Selective.result
+
 (* the job body; raises Failure on any per-job error *)
-let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
+let compute ctx tech (bc : C.bench_circuit option) kind =
   let circuit () =
     match bc with
     | Some bc -> bc
     | None -> failwith "job has no circuit" (* parse-time guaranteed *)
   in
-  match job.Spec.kind with
+  match kind with
   | Spec.Sweep { wls; vectors } ->
     let bc = circuit () in
     let vecs = vectors_or_fail ~widths:bc.C.widths vectors in
-    let ms = Mtcmos.Sizing.sweep ~ctx bc.C.circuit ~vectors:vecs ~wls in
-    Json.Obj [ ("measurements", Json.Arr (List.map measurement_json ms)) ]
+    Measurements (Mtcmos.Sizing.sweep ~ctx bc.C.circuit ~vectors:vecs ~wls)
   | Spec.Size { target; vectors } ->
     let bc = circuit () in
     let vecs = vectors_or_fail ~widths:bc.C.widths vectors in
@@ -113,11 +125,10 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
          ~target
      with
      | wl ->
-       let m = Mtcmos.Sizing.delay_at ~ctx bc.C.circuit ~vectors:vecs ~wl in
-       Json.Obj
-         [ ("target", Json.Float target);
-           ("wl", Json.Float wl);
-           ("measurement", measurement_json m) ]
+       let measurement =
+         Mtcmos.Sizing.delay_at ~ctx bc.C.circuit ~vectors:vecs ~wl
+       in
+       Sized { target; wl; measurement }
      | exception Not_found -> failwith "no feasible size in [0.5, 4096]")
   | Spec.Worst_vectors { wl; top; sample } ->
     let bc = circuit () in
@@ -131,27 +142,14 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
       Mtcmos.Vectors.worst ~ctx bc.C.circuit ~sleep:(sleep_of tech ~wl)
         ~pairs ~top
     in
-    Json.Obj
-      [ ("wl", Json.Float wl);
-        ("pairs_examined", Json.Int (List.length pairs));
-        ("ranked", Json.Arr (List.map ranking_json ranked)) ]
+    Ranked { pairs_examined = List.length pairs; ranked }
   | Spec.Search { wl; objective; restarts; seed; max_iters } ->
     let bc = circuit () in
-    let o =
-      Mtcmos.Search.hill_climb ~seed ~restarts ~max_iters ~ctx bc.C.circuit
-        ~sleep:(sleep_of tech ~wl) ~widths:bc.C.widths objective
-    in
-    Json.Obj
-      [ ("wl", Json.Float wl);
-        ("objective", Json.Str (C.objective_name objective));
-        ("worst", Json.Str (C.vector_string o.Mtcmos.Search.pair));
-        ("score", Json.Float o.Mtcmos.Search.score);
-        ("evaluations", Json.Int o.Mtcmos.Search.evaluations) ]
+    Found
+      (Mtcmos.Search.hill_climb ~seed ~restarts ~max_iters ~ctx bc.C.circuit
+         ~sleep:(sleep_of tech ~wl) ~widths:bc.C.widths objective)
   | Spec.Characterize { gate; loads; ramps } ->
-    let points = Mtcmos.Characterize.gate ~ctx ?loads ?ramps tech gate in
-    Json.Obj
-      [ ("gate", Json.Str (Netlist.Gate.name gate));
-        ("points", Json.Arr (List.map point_json points)) ]
+    Points (Mtcmos.Characterize.gate ~ctx ?loads ?ramps tech gate)
   | Spec.Monte_carlo { wl; n; seed; vector } ->
     let bc = circuit () in
     let vec =
@@ -162,9 +160,45 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
          | Ok v -> v
          | Error e -> failwith e)
     in
-    let st =
-      Mtcmos.Variation.monte_carlo ~ctx ~seed ~n bc.C.circuit ~wl ~vector:vec
-    in
+    Mc_stats
+      (Mtcmos.Variation.monte_carlo ~ctx ~seed ~n bc.C.circuit ~wl ~vector:vec)
+  | Spec.Select { delay_budget; clusters; objective; passes } ->
+    let bc = circuit () in
+    (match
+       Mtcmos.Selective.optimize ~ctx ~objective ~clusters
+         ~max_passes:passes bc.C.circuit ~delay_budget
+     with
+     | r -> Selected r
+     | exception Not_found ->
+       failwith "delay budget infeasible even all-low-Vt at W/L 4096")
+
+(* the manifest entry: the result and the kind inputs it repeats *)
+let result_json (kind : Spec.kind) result =
+  match (kind, result) with
+  | _, Measurements ms ->
+    Json.Obj [ ("measurements", Json.Arr (List.map measurement_json ms)) ]
+  | _, Sized { target; wl; measurement } ->
+    Json.Obj
+      [ ("target", Json.Float target);
+        ("wl", Json.Float wl);
+        ("measurement", measurement_json measurement) ]
+  | Spec.Worst_vectors { wl; _ }, Ranked { pairs_examined; ranked } ->
+    Json.Obj
+      [ ("wl", Json.Float wl);
+        ("pairs_examined", Json.Int pairs_examined);
+        ("ranked", Json.Arr (List.map ranking_json ranked)) ]
+  | Spec.Search { wl; objective; _ }, Found o ->
+    Json.Obj
+      [ ("wl", Json.Float wl);
+        ("objective", Json.Str (C.objective_name objective));
+        ("worst", Json.Str (C.vector_string o.Mtcmos.Search.pair));
+        ("score", Json.Float o.Mtcmos.Search.score);
+        ("evaluations", Json.Int o.Mtcmos.Search.evaluations) ]
+  | Spec.Characterize { gate; _ }, Points points ->
+    Json.Obj
+      [ ("gate", Json.Str (Netlist.Gate.name gate));
+        ("points", Json.Arr (List.map point_json points)) ]
+  | Spec.Monte_carlo { wl; n; _ }, Mc_stats st ->
     Json.Obj
       [ ("wl", Json.Float wl);
         ("n", Json.Int n);
@@ -172,56 +206,46 @@ let exec_kind ctx tech (bc : C.bench_circuit option) (job : Spec.job) =
         ("vx", summary_json st.Mtcmos.Variation.vx_summary);
         ( "degradation_p95",
           Json.Float st.Mtcmos.Variation.degradation_p95 ) ]
-  | Spec.Select { delay_budget; clusters; objective; passes } ->
-    let bc = circuit () in
-    (match
-       Mtcmos.Selective.optimize ~ctx ~objective ~clusters
-         ~max_passes:passes bc.C.circuit ~delay_budget
-     with
-     | r ->
-       let low =
-         Array.fold_left
-           (fun a h -> if h then a else a + 1)
-           0 r.Mtcmos.Selective.vt_high
-       in
-       let cluster_json c wl =
-         let m = r.Mtcmos.Selective.members.(c) in
-         let lowc =
-           Array.fold_left
-             (fun a g -> if r.Mtcmos.Selective.vt_high.(g) then a else a + 1)
-             0 m
-         in
-         Json.Obj
-           [ ("wl", Json.Float wl);
-             ("gates", Json.Int (Array.length m));
-             ("low_vt", Json.Int lowc) ]
-       in
-       Json.Obj
-         [ ("delay_budget", Json.Float delay_budget);
-           ("objective", Json.Str (Mtcmos.Selective.objective_name objective));
-           ("base_delay", Json.Float r.Mtcmos.Selective.base_delay);
-           ("budget", Json.Float r.Mtcmos.Selective.budget);
-           ("arrival", Json.Float r.Mtcmos.Selective.arrival);
-           ("slack", Json.Float r.Mtcmos.Selective.slack);
-           ("low_vt", Json.Int low);
-           ( "high_vt",
-             Json.Int (Array.length r.Mtcmos.Selective.vt_high - low) );
-           ( "clusters",
-             Json.Arr
-               (Array.to_list
-                  (Array.mapi cluster_json r.Mtcmos.Selective.sleep_wl)) );
-           ("leakage", Json.Float r.Mtcmos.Selective.leakage);
-           ( "ungated_leakage",
-             Json.Float r.Mtcmos.Selective.ungated_leakage );
-           ("area", Json.Float r.Mtcmos.Selective.area);
-           ( "objective_value",
-             Json.Float r.Mtcmos.Selective.objective_value );
-           ("evaluations", Json.Int r.Mtcmos.Selective.evaluations);
-           ("flips_to_low", Json.Int r.Mtcmos.Selective.flips_to_low);
-           ("reclaimed", Json.Int r.Mtcmos.Selective.reclaimed);
-           ("moves", Json.Int r.Mtcmos.Selective.moves) ]
-     | exception Not_found ->
-       failwith "delay budget infeasible even all-low-Vt at W/L 4096")
+  | Spec.Select { delay_budget; objective; _ }, Selected r ->
+    let low =
+      Array.fold_left
+        (fun a h -> if h then a else a + 1)
+        0 r.Mtcmos.Selective.vt_high
+    in
+    let cluster_json c wl =
+      let m = r.Mtcmos.Selective.members.(c) in
+      let lowc =
+        Array.fold_left
+          (fun a g -> if r.Mtcmos.Selective.vt_high.(g) then a else a + 1)
+          0 m
+      in
+      Json.Obj
+        [ ("wl", Json.Float wl);
+          ("gates", Json.Int (Array.length m));
+          ("low_vt", Json.Int lowc) ]
+    in
+    Json.Obj
+      [ ("delay_budget", Json.Float delay_budget);
+        ("objective", Json.Str (Mtcmos.Selective.objective_name objective));
+        ("base_delay", Json.Float r.Mtcmos.Selective.base_delay);
+        ("budget", Json.Float r.Mtcmos.Selective.budget);
+        ("arrival", Json.Float r.Mtcmos.Selective.arrival);
+        ("slack", Json.Float r.Mtcmos.Selective.slack);
+        ("low_vt", Json.Int low);
+        ("high_vt", Json.Int (Array.length r.Mtcmos.Selective.vt_high - low));
+        ( "clusters",
+          Json.Arr
+            (Array.to_list
+               (Array.mapi cluster_json r.Mtcmos.Selective.sleep_wl)) );
+        ("leakage", Json.Float r.Mtcmos.Selective.leakage);
+        ("ungated_leakage", Json.Float r.Mtcmos.Selective.ungated_leakage);
+        ("area", Json.Float r.Mtcmos.Selective.area);
+        ("objective_value", Json.Float r.Mtcmos.Selective.objective_value);
+        ("evaluations", Json.Int r.Mtcmos.Selective.evaluations);
+        ("flips_to_low", Json.Int r.Mtcmos.Selective.flips_to_low);
+        ("reclaimed", Json.Int r.Mtcmos.Selective.reclaimed);
+        ("moves", Json.Int r.Mtcmos.Selective.moves) ]
+  | _ -> invalid_arg "Exec.result_json: a result of another kind"
 
 let error_message = function
   | Failure m -> m
@@ -229,8 +253,8 @@ let error_message = function
   | e -> Printexc.to_string e
 
 (* effective per-job context: job override > spec defaults > base ctx *)
-let job_ctx base (defaults : Spec.overrides) (job : Spec.job) =
-  let pick f = Option.fold ~none:(f defaults) ~some:Option.some (f job.Spec.overrides) in
+let job_ctx base (defaults : Spec.overrides) (overrides : Spec.overrides) =
+  let pick f = Option.fold ~none:(f defaults) ~some:Option.some (f overrides) in
   let engine = pick (fun o -> o.Spec.engine) in
   let jobs = pick (fun o -> o.Spec.jobs) in
   let budget = pick (fun o -> o.Spec.newton_budget) in
@@ -291,9 +315,10 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
      probing for the exact field bytes the writer emits. *)
   let contains hay probe =
     let np = String.length probe and nh = String.length hay in
-    let rec find i =
-      i + np <= nh && (String.sub hay i np = probe || find (i + 1))
+    let rec matches i j =
+      j = np || (hay.[i + j] = probe.[j] && matches i (j + 1))
     in
+    let rec find i = i + np <= nh && (matches i 0 || find (i + 1)) in
     find 0
   in
   let status_of_fragment frag =
@@ -336,7 +361,7 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
               interrupted := true;
               raise Exit
             | _ -> ());
-           let jctx = job_ctx ctx spec.Spec.defaults job in
+           let jctx = job_ctx ctx spec.Spec.defaults job.Spec.overrides in
            let jctx, stats = Eval.Ctx.for_job jctx in
            let bc =
              Option.bind job.Spec.circuit (fun id ->
@@ -344,8 +369,8 @@ let run ?(ctx = Eval.Ctx.default) ?journal ?(fresh = false) ?stop_after
            in
            let result =
              Obs.Span.with_ obs "runner.job" (fun () ->
-                 match exec_kind jctx tech bc job with
-                 | payload -> Ok payload
+                 match compute jctx tech bc job.Spec.kind with
+                 | r -> Ok (result_json job.Spec.kind r)
                  | exception e -> Error (error_message e))
            in
            let status, tail =

@@ -6,7 +6,9 @@
     isolated: an exception becomes a ["failed"] manifest entry and the
     batch continues.  With a [?journal] path, each completed job is
     checkpointed and a re-run replays completed fragments verbatim,
-    producing a manifest byte-identical to an uninterrupted run. *)
+    producing a manifest byte-identical to an uninterrupted run.
+    {!compute} is the one implementation of the job kinds; the mtsize
+    analysis subcommands call it too. *)
 
 type status = Clean | Degraded | Failed
 
@@ -28,6 +30,31 @@ type outcome = {
   interrupted : bool;  (** stopped early by [?stop_after] *)
 }
 
+(** A job's typed result: the library records its kind computes. *)
+type result =
+  | Measurements of Mtcmos.Sizing.measurement list
+  | Sized of {
+      target : float;
+      wl : float;
+      measurement : Mtcmos.Sizing.measurement;
+    }
+  | Ranked of { pairs_examined : int; ranked : Mtcmos.Vectors.ranking list }
+  | Found of Mtcmos.Search.outcome
+  | Points of Mtcmos.Characterize.point list
+  | Mc_stats of Mtcmos.Variation.stats
+  | Selected of Mtcmos.Selective.result
+
+val compute :
+  Eval.Ctx.t -> Device.Tech.t -> Catalog.bench_circuit option -> Spec.kind ->
+  result
+(** One job body ([None] circuit only for [characterize]).
+    @raise Failure on a per-job error: a bad vector, no feasible size,
+    or an infeasible select budget. *)
+
+val job_ctx : Eval.Ctx.t -> Spec.overrides -> Spec.overrides -> Eval.Ctx.t
+(** [job_ctx base defaults overrides]: engine, jobs and Newton budget
+    from [overrides], else [defaults], else [base]. *)
+
 val run :
   ?ctx:Eval.Ctx.t ->
   ?journal:string ->
@@ -36,7 +63,7 @@ val run :
   ?cancel:Par.Cancel.t ->
   ?on_fragment:(id:string -> status:status -> string -> unit) ->
   Spec.t ->
-  (outcome, string) result
+  (outcome, string) Stdlib.result
 (** [run spec] executes every job.  [?journal] checkpoints each
     completed job and resumes from an existing compatible journal;
     [~fresh:true] ignores (and truncates) any existing journal.

@@ -14,9 +14,9 @@
        (job characterize c1 (gate nand2) (loads 1e-14 5e-14) (ramps 2e-11))
        (job monte-carlo m1 (circuit a3) (wl 10) (n 32) (seed 7)))
 
-   Field defaults mirror the corresponding mtsize subcommand flags.
-   [defaults] applies to every job; a job-level (engine ...) / (jobs
-   ...) / (newton-budget ...) overrides it.  Jobs execute in file
+   Field defaults live in [Default], which the mtsize subcommand flags
+   read too.  [defaults] applies to every job; a job-level (engine ...)
+   / (jobs ...) / (newton-budget ...) overrides it.  Jobs execute in file
    order through one shared evaluation context (see Exec). *)
 
 type overrides = {
@@ -73,6 +73,39 @@ let kind_name = function
   | Characterize _ -> "characterize"
   | Monte_carlo _ -> "monte-carlo"
   | Select _ -> "select"
+
+module Default = struct
+  let wls = [ 2.0; 5.0; 10.0; 20.0; 50.0; 100.0 ]
+  let target = 0.05
+  let wl = 10.0
+  let top = 10
+  let sample = 500
+  let search_objective = Mtcmos.Search.Max_degradation
+  let restarts = 8
+  let search_seed = 17
+  let max_iters = 400
+  let mc_n = 32
+  let mc_seed = 99
+  let delay_budget = 0.1
+  let clusters = 4
+  let passes = 2
+  let select_objective = Mtcmos.Selective.Leakage
+end
+
+let validate (ov : overrides) kind =
+  match (ov, kind) with
+  | { jobs = Some j; _ }, _ when j < 1 ->
+    Error (Printf.sprintf "(jobs %d): must be >= 1" j)
+  | { newton_budget = Some n; _ }, _ when n < 0 ->
+    Error (Printf.sprintf "(newton-budget %d): must be >= 0" n)
+  | _, Some (Monte_carlo { n; _ }) when n < 1 -> Error "(n ...): must be >= 1"
+  | _, Some (Select { delay_budget; _ }) when delay_budget < 0.0 ->
+    Error "(delay-budget ...): must be >= 0"
+  | _, Some (Select { clusters; _ }) when clusters < 1 ->
+    Error "(clusters ...): must be >= 1"
+  | _, Some (Select { passes; _ }) when passes < 0 ->
+    Error "(passes ...): must be >= 0"
+  | _ -> Ok ()
 
 (* ---- parsing ----------------------------------------------------- *)
 
@@ -142,12 +175,10 @@ let split_overrides fields =
       go { ov with engine = Some e } rest tl
     | ("jobs", args) :: tl ->
       let* j = int1 "jobs" args in
-      if j < 1 then Error (Printf.sprintf "(jobs %d): must be >= 1" j)
-      else go { ov with jobs = Some j } rest tl
+      go { ov with jobs = Some j } rest tl
     | ("newton-budget", args) :: tl ->
       let* n = int1 "newton-budget" args in
-      if n < 0 then Error (Printf.sprintf "(newton-budget %d): must be >= 0" n)
-      else go { ov with newton_budget = Some n } rest tl
+      go { ov with newton_budget = Some n } rest tl
     | f :: tl -> go ov (f :: rest) tl
   in
   go no_overrides [] fields
@@ -194,7 +225,7 @@ let parse_kind kname fields =
     in
     let* wls =
       match get fields "wls" with
-      | None -> Ok [ 2.0; 5.0; 10.0; 20.0; 50.0; 100.0 ]
+      | None -> Ok Default.wls
       | Some args -> floats "wls" args
     in
     let* vectors =
@@ -205,7 +236,7 @@ let parse_kind kname fields =
     Ok (Sweep { wls; vectors })
   | "size" ->
     let* () = known fields [ "circuit"; "target"; "vectors" ] ~kind:kname in
-    let* target = get_float fields "target" ~default:0.05 in
+    let* target = get_float fields "target" ~default:Default.target in
     let* vectors =
       match get fields "vectors" with
       | None -> Ok []
@@ -216,9 +247,9 @@ let parse_kind kname fields =
     let* () =
       known fields [ "circuit"; "wl"; "top"; "sample" ] ~kind:kname
     in
-    let* wl = get_float fields "wl" ~default:10.0 in
-    let* top = get_int fields "top" ~default:10 in
-    let* sample = get_int fields "sample" ~default:500 in
+    let* wl = get_float fields "wl" ~default:Default.wl in
+    let* top = get_int fields "top" ~default:Default.top in
+    let* sample = get_int fields "sample" ~default:Default.sample in
     Ok (Worst_vectors { wl; top; sample })
   | "search" ->
     let* () =
@@ -226,17 +257,17 @@ let parse_kind kname fields =
         [ "circuit"; "wl"; "objective"; "restarts"; "seed"; "max-iters" ]
         ~kind:kname
     in
-    let* wl = get_float fields "wl" ~default:10.0 in
+    let* wl = get_float fields "wl" ~default:Default.wl in
     let* objective =
       match get fields "objective" with
-      | None -> Ok Mtcmos.Search.Max_degradation
+      | None -> Ok Default.search_objective
       | Some args ->
         let* a = atom1 "objective" args in
         Catalog.objective_of_name a
     in
-    let* restarts = get_int fields "restarts" ~default:8 in
-    let* seed = get_int fields "seed" ~default:17 in
-    let* max_iters = get_int fields "max-iters" ~default:400 in
+    let* restarts = get_int fields "restarts" ~default:Default.restarts in
+    let* seed = get_int fields "seed" ~default:Default.search_seed in
+    let* max_iters = get_int fields "max-iters" ~default:Default.max_iters in
     Ok (Search { wl; objective; restarts; seed; max_iters })
   | "characterize" ->
     let* () = known fields [ "gate"; "loads"; "ramps" ] ~kind:kname in
@@ -254,9 +285,9 @@ let parse_kind kname fields =
     let* () =
       known fields [ "circuit"; "wl"; "n"; "seed"; "vector" ] ~kind:kname
     in
-    let* wl = get_float fields "wl" ~default:10.0 in
-    let* n = get_int fields "n" ~default:32 in
-    let* seed = get_int fields "seed" ~default:99 in
+    let* wl = get_float fields "wl" ~default:Default.wl in
+    let* n = get_int fields "n" ~default:Default.mc_n in
+    let* seed = get_int fields "seed" ~default:Default.mc_seed in
     let* vector =
       match get fields "vector" with
       | None -> Ok None
@@ -264,28 +295,26 @@ let parse_kind kname fields =
         let* a = atom1 "vector" args in
         Ok (Some a)
     in
-    if n < 1 then Error "(n ...): must be >= 1"
-    else Ok (Monte_carlo { wl; n; seed; vector })
+    Ok (Monte_carlo { wl; n; seed; vector })
   | "select" ->
     let* () =
       known fields
         [ "circuit"; "delay-budget"; "clusters"; "objective"; "passes" ]
         ~kind:kname
     in
-    let* delay_budget = get_float fields "delay-budget" ~default:0.1 in
-    let* clusters = get_int fields "clusters" ~default:4 in
-    let* passes = get_int fields "passes" ~default:2 in
+    let* delay_budget =
+      get_float fields "delay-budget" ~default:Default.delay_budget
+    in
+    let* clusters = get_int fields "clusters" ~default:Default.clusters in
+    let* passes = get_int fields "passes" ~default:Default.passes in
     let* objective =
       match get fields "objective" with
-      | None -> Ok Mtcmos.Selective.Leakage
+      | None -> Ok Default.select_objective
       | Some args ->
         let* a = atom1 "objective" args in
         Catalog.select_objective_of_name a
     in
-    if delay_budget < 0.0 then Error "(delay-budget ...): must be >= 0"
-    else if clusters < 1 then Error "(clusters ...): must be >= 1"
-    else if passes < 0 then Error "(passes ...): must be >= 0"
-    else Ok (Select { delay_budget; clusters; objective; passes })
+    Ok (Select { delay_budget; clusters; objective; passes })
   | other ->
     Error
       (Printf.sprintf
@@ -318,6 +347,7 @@ let parse_job = function
       let* circuit = circuit_ref fields in
       let fields = List.remove_assoc "circuit" fields in
       let* kind = parse_kind kname fields in
+      let* () = validate overrides (Some kind) in
       (match (needs_circuit kind, circuit) with
        | true, None ->
          Error
@@ -343,7 +373,9 @@ let parse_forms forms =
       in
       let* defaults, leftover = split_overrides (List.rev fields) in
       (match leftover with
-       | [] -> go { spec with defaults } rest
+       | [] ->
+         let* () = validate defaults None in
+         go { spec with defaults } rest
        | (name, _) :: _ ->
          Error (Printf.sprintf "(defaults ...): unknown field (%s ...)" name))
     | Sexp.List [ Sexp.Atom "circuit"; Sexp.Atom id; Sexp.Atom cspec ]

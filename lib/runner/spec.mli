@@ -12,8 +12,9 @@
       (job sweep s1 (circuit a3) (wls 2 10 50) (vectors "0,0->7,7"))
       (job size z1 (circuit a3) (target 0.05) (engine spice)))
     v}
-    Field defaults mirror the corresponding mtsize subcommand flags;
-    jobs execute in file order through one shared evaluation context
+    Field defaults are the values in {!Default}, which the
+    corresponding mtsize subcommand flags read too, so the two agree by
+    construction.  Jobs execute in file order through one shared evaluation context
     (see {!Exec}). *)
 
 type overrides = {
@@ -63,6 +64,29 @@ type t = {
 }
 
 val kind_name : kind -> string
+
+(** Field defaults, read by the parser and the mtsize flags alike. *)
+module Default : sig
+  val wls : float list
+  val target : float
+  val wl : float
+  val top : int
+  val sample : int
+  val search_objective : Mtcmos.Search.objective
+  val restarts : int
+  val search_seed : int
+  val max_iters : int
+  val mc_n : int
+  val mc_seed : int
+  val delay_budget : float
+  val clusters : int
+  val passes : int
+  val select_objective : Mtcmos.Selective.objective
+end
+
+val validate : overrides -> kind option -> (unit, string) result
+(** The range checks of the overrides and, when given, of a kind's
+    fields; the parser and the mtsize flags both apply it. *)
 
 val parse_string : string -> (t, string) result
 val parse_file : string -> (t, string) result
